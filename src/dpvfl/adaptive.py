@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArgumentError, InsufficientRetainedError
-from .numerics import Rng, as_matrix, erf_inv, pairwise_distances
+from .numerics import Rng, as_matrix, erf_inv, pair_indices, pairwise_distances
 
 logger = logging.getLogger(__name__)
 
@@ -126,6 +126,39 @@ def _distance_moment_penalty(d: np.ndarray) -> tuple[float, np.ndarray]:
     return value, grad
 
 
+def _unit_rows_in_place(diffs: np.ndarray, d: np.ndarray) -> None:
+    """Divide each pair difference by its distance; rows with ``d == 0`` become 0.
+
+    Zero rows are cleared explicitly: ``d`` underflows to 0 for differences
+    around 1e-170 that are not 0 themselves.
+    """
+    zero = d == 0.0
+    if np.any(zero):
+        diffs[zero] = 0.0
+        d = np.where(zero, 1.0, d)
+    diffs /= d[:, None]
+
+
+def _scatter_pairs(j_idx, k_idx, contrib: np.ndarray, n: int) -> np.ndarray:
+    """Per row, add the contributions of pairs where it is ``j`` and subtract
+    those where it is ``k``.
+
+    ``np.bincount`` adds its weights in input order, so over ``[j, k]`` with
+    weights ``[c, -c]`` each row sums the same terms in the same order as
+    ``np.add.at(grad, j, c)`` followed by ``np.subtract.at(grad, k, c)``, and
+    the result is bit-identical to that scatter.
+    """
+    rows = np.concatenate([j_idx, k_idx])
+    count = contrib.shape[0]
+    weights = np.empty(2 * count)
+    grad = np.empty((n, contrib.shape[1]))
+    for col in range(contrib.shape[1]):
+        weights[:count] = contrib[:, col]
+        np.negative(contrib[:, col], out=weights[count:])
+        grad[:, col] = np.bincount(rows, weights=weights, minlength=n)
+    return grad
+
+
 def kl_surrogate_loss(batch, alpha: float) -> tuple[float, np.ndarray]:
     """Differentiable penalty driving the pairwise-distance sample toward
     a normal shape: ``alpha * (skew(d)^2 + excess_kurtosis(d)^2)``.
@@ -139,18 +172,14 @@ def kl_surrogate_loss(batch, alpha: float) -> tuple[float, np.ndarray]:
         raise ArgumentError(f"the distance-shape penalty needs >= 4 rows, got {n}")
     if alpha == 0.0:
         return 0.0, np.zeros_like(b)
-    j_idx, k_idx = np.triu_indices(n, k=1)
-    diffs = b[j_idx] - b[k_idx]
+    j_idx, k_idx = pair_indices(n)
+    diffs = b[j_idx]
+    diffs -= b[k_idx]
     d = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     value, d_grad = _distance_moment_penalty(d)
-    grad = np.zeros_like(b)
-    nonzero = d > 0.0
-    unit = np.zeros_like(diffs)
-    unit[nonzero] = diffs[nonzero] / d[nonzero, None]
-    contrib = (alpha * d_grad)[:, None] * unit
-    np.add.at(grad, j_idx, contrib)
-    np.subtract.at(grad, k_idx, contrib)
-    return alpha * value, grad
+    _unit_rows_in_place(diffs, d)
+    diffs *= (alpha * d_grad)[:, None]
+    return alpha * value, _scatter_pairs(j_idx, k_idx, diffs, n)
 
 
 def histogram_kl_to_gaussian(distances, bins: int = 16) -> float:
@@ -211,17 +240,20 @@ class FuzzyAssignment:
 def _memberships(points: np.ndarray, centers: np.ndarray, fuzzifier: float) -> np.ndarray:
     diff = points[:, None, :] - centers[None, :, :]
     dist = np.sqrt(np.einsum("ick,ick->ic", diff, diff))
+    exponent = -2.0 / (fuzzifier - 1.0)
     coincident = dist == 0.0
-    u = np.empty_like(dist)
     hit = coincident.any(axis=1)
-    if np.any(hit):
-        # A point sitting on a center belongs there outright (split evenly
-        # if several centers coincide with it).
-        rows = coincident[hit]
-        u[hit] = rows / rows.sum(axis=1, keepdims=True)
+    if not np.any(hit):
+        inv = dist**exponent
+        return inv / inv.sum(axis=1, keepdims=True)
+    # A point sitting on a center belongs there outright (split evenly if
+    # several centers coincide with it).
+    u = np.empty_like(dist)
+    rows = coincident[hit]
+    u[hit] = rows / rows.sum(axis=1, keepdims=True)
     free = ~hit
     if np.any(free):
-        inv = dist[free] ** (-2.0 / (fuzzifier - 1.0))
+        inv = dist[free] ** exponent
         u[free] = inv / inv.sum(axis=1, keepdims=True)
     return u
 
@@ -340,29 +372,26 @@ def contrastive_loss(batch, assignment: FuzzyAssignment, beta: float) -> tuple[f
     n = b.shape[0]
     if assignment.cluster_ids.shape[0] != n:
         raise ArgumentError(f"assignment covers {assignment.cluster_ids.shape[0]} rows, batch has {n}")
-    retained = np.flatnonzero(assignment.retained_mask)
     if beta == 0.0:
         return 0.0, np.zeros_like(b)
-    if retained.size < 2:
+    if assignment.n_retained < 2:
         logger.warning(
-            "contrastive adjustment skipped: only %d retained rows", retained.size
+            "contrastive adjustment skipped: only %d retained rows", assignment.n_retained
         )
         return 0.0, np.zeros_like(b)
-    jj, kk = np.triu_indices(retained.size, k=1)
-    j_idx, k_idx = retained[jj], retained[kk]
-    cross = assignment.cluster_ids[j_idx] != assignment.cluster_ids[k_idx]
+    # Filtering the batch's pairs keeps their (j, k) lexicographic order,
+    # which is the order of the pairs of the retained rows alone.
+    j_idx, k_idx = pair_indices(n)
+    mask, ids = assignment.retained_mask, assignment.cluster_ids
+    cross = mask[j_idx] & mask[k_idx] & (ids[j_idx] != ids[k_idx])
     if not np.any(cross):
         return 0.0, np.zeros_like(b)
     j_idx, k_idx = j_idx[cross], k_idx[cross]
-    diffs = b[j_idx] - b[k_idx]
+    diffs = b[j_idx]
+    diffs -= b[k_idx]
     d = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     # Each unordered pair appears twice in the double sum.
     loss = -beta / (n * n) * 2.0 * float(d.sum())
-    grad = np.zeros_like(b)
-    nonzero = d > 0.0
-    unit = np.zeros_like(diffs)
-    unit[nonzero] = diffs[nonzero] / d[nonzero, None]
-    contrib = (-2.0 * beta / (n * n)) * unit
-    np.add.at(grad, j_idx, contrib)
-    np.subtract.at(grad, k_idx, contrib)
-    return loss, grad
+    _unit_rows_in_place(diffs, d)
+    diffs *= -2.0 * beta / (n * n)
+    return loss, _scatter_pairs(j_idx, k_idx, diffs, n)

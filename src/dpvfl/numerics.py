@@ -8,6 +8,7 @@ are reproducible regardless of scheduling.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
@@ -19,6 +20,7 @@ __all__ = [
     "Rng",
     "gaussian_sample",
     "erf_inv",
+    "pair_indices",
     "pairwise_distances",
     "pca2",
     "as_matrix",
@@ -162,6 +164,21 @@ def erf_inv(p: float) -> float:
     return math.copysign(x, p)
 
 
+# One entry: rounds and evaluation batches reuse a single batch size, and
+# caching every size seen (ragged last batches, attack queries) only grows
+# memory.
+@functools.lru_cache(maxsize=1)
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``numpy.triu_indices(n, k=1)``, cached for the latest ``n``.
+
+    The arrays are shared between callers and therefore read-only.
+    """
+    j_idx, k_idx = np.triu_indices(n, k=1)
+    j_idx.flags.writeable = False
+    k_idx.flags.writeable = False
+    return j_idx, k_idx
+
+
 def pairwise_distances(batch) -> np.ndarray:
     """All n(n-1)/2 unordered-pair Euclidean distances, (j, k) with j < k.
 
@@ -171,14 +188,10 @@ def pairwise_distances(batch) -> np.ndarray:
     n = b.shape[0]
     if n < 2:
         raise ArgumentError(f"pairwise distances need at least 2 rows, got {n}")
-    out = np.empty(n * (n - 1) // 2)
-    pos = 0
-    for j in range(n - 1):
-        diff = b[j + 1:] - b[j]
-        m = diff.shape[0]
-        out[pos:pos + m] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        pos += m
-    return out
+    j_idx, k_idx = pair_indices(n)
+    diff = b[k_idx]
+    diff -= b[j_idx]
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def _power_iteration(cov: np.ndarray, max_iter: int = 10_000, tol: float = 1e-13):

@@ -97,12 +97,16 @@ class MessageChannel:
         self.log.append(message)
 
     def receive(self, kind: str, party_id: int, batch_index: int):
-        queue = self._queues.get((kind, party_id, batch_index))
+        key = (kind, party_id, batch_index)
+        queue = self._queues.get(key)
         if not queue:
             raise ProtocolError(
                 f"no {kind} message from/for party {party_id} in round {batch_index}"
             )
-        return queue.pop(0)
+        message = queue.pop(0)
+        if not queue:
+            del self._queues[key]
+        return message
 
 
 class StageTimer:
@@ -459,18 +463,17 @@ def evaluate(
     ``with_noise=True`` evaluates the deployed mechanism (the embeddings the
     active party would actually see); ``False`` is the diagnostic mode.
     ``repeats`` averages the noisy accuracy over several release draws for a
-    lower-variance estimate of the same deployed quantity.
+    lower-variance estimate of the same deployed quantity. The repeats share
+    one pre-noise (forward, clip, rescale) pass per batch and party and only
+    redraw the noise, draw ``i`` from ``rng.split("repeat", i)``.
     """
-    if repeats > 1 and with_noise:
-        return float(np.mean([
-            evaluate(parties, dataset, rng.split("repeat", i),
-                     with_noise=True, batch_size=batch_size)
-            for i in range(repeats)
-        ]))
     n = dataset.n_rows
     if n == 0:
         raise ArgumentError("cannot evaluate an empty split")
     step = batch_size or parties.active.config.batch_size
+    streams = [rng]
+    if repeats > 1 and with_noise:
+        streams = [rng.split("repeat", i) for i in range(repeats)]
     # Evaluate on read-only snapshots so a pending round's forward caches
     # are never disturbed.
     snapshots = [
@@ -482,17 +485,25 @@ def evaluate(
         for party in parties.passives
     ]
     head = parties.active.head.copy()
-    correct = 0
+    correct = [0] * len(streams)
     for start in range(0, n, step):
         rows = np.arange(start, min(start + step, n))
-        released = []
+        released = [[] for _ in streams]
         for snap in snapshots:
             x = dataset.party_batch(snap.party_id, rows)
-            noise_rng = rng.split("eval", snap.party_id, start)
-            released.append(snap.compute_release(x, noise_rng).released)
-        logits = head.forward(np.hstack(released))
-        correct += int(np.sum(np.argmax(logits, axis=1) == dataset.labels[rows]))
-    return correct / n
+            trace = snap.compute_release(x, streams[0].split("eval", snap.party_id, start))
+            released[0].append(trace.released)
+            for draws, stream in zip(released[1:], streams[1:]):
+                if snap.protected:
+                    noise_rng = stream.split("eval", snap.party_id, start)
+                    draws.append(add_noise(trace.adjusted, snap.privacy, noise_rng,
+                                           sigma=snap.sigma_override))
+                else:
+                    draws.append(trace.released)
+        for i, draws in enumerate(released):
+            logits = head.forward(np.hstack(draws))
+            correct[i] += int(np.sum(np.argmax(logits, axis=1) == dataset.labels[rows]))
+    return float(np.mean([c / n for c in correct]))
 
 
 @dataclass

@@ -7,6 +7,7 @@ import pytest
 from dpvfl.adaptive import (
     FuzzyAssignment,
     _distance_moment_penalty,
+    _memberships,
     contrastive_loss,
     estimate_local_sensitivity,
     exact_diameter_estimate,
@@ -24,6 +25,73 @@ from dpvfl.neural import DenseNet, TrainingConfig, sgd_step
 from dpvfl.numerics import Rng, pairwise_distances
 
 from conftest import central_difference, erf_inv_bisect, relative_error
+
+
+# Reference kernels: the np.add.at / np.subtract.at scatter the gradients
+# must match bit for bit.
+
+def scatter_reference(n, j_idx, k_idx, contrib):
+    grad = np.zeros((n, contrib.shape[1]))
+    np.add.at(grad, j_idx, contrib)
+    np.subtract.at(grad, k_idx, contrib)
+    return grad
+
+
+def unit_reference(diffs, d):
+    unit = np.zeros_like(diffs)
+    nonzero = d > 0.0
+    unit[nonzero] = diffs[nonzero] / d[nonzero, None]
+    return unit
+
+
+def kl_reference(batch, alpha):
+    n = batch.shape[0]
+    j_idx, k_idx = np.triu_indices(n, k=1)
+    diffs = batch[j_idx] - batch[k_idx]
+    d = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    value, d_grad = _distance_moment_penalty(d)
+    contrib = (alpha * d_grad)[:, None] * unit_reference(diffs, d)
+    return alpha * value, scatter_reference(n, j_idx, k_idx, contrib)
+
+
+def contrastive_reference(batch, assignment, beta):
+    n = batch.shape[0]
+    retained = np.flatnonzero(assignment.retained_mask)
+    jj, kk = np.triu_indices(retained.size, k=1)
+    j_idx, k_idx = retained[jj], retained[kk]
+    cross = assignment.cluster_ids[j_idx] != assignment.cluster_ids[k_idx]
+    j_idx, k_idx = j_idx[cross], k_idx[cross]
+    diffs = batch[j_idx] - batch[k_idx]
+    d = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    loss = -beta / (n * n) * 2.0 * float(d.sum())
+    contrib = (-2.0 * beta / (n * n)) * unit_reference(diffs, d)
+    return loss, scatter_reference(n, j_idx, k_idx, contrib)
+
+
+KERNEL_SIZES = [4, 5, 60, 100]
+# "duplicate" repeats a row, so one pair has d == 0; "underflow" puts two
+# rows 1e-170 apart, so d underflows to 0 while their difference is not 0.
+KERNEL_CASES = ["plain", "duplicate", "underflow"]
+
+
+def kernel_batch(n, case):
+    batch = Rng(n).normal(0, 1, (n, 16))
+    if case == "duplicate":
+        batch[n // 2] = batch[1]
+    elif case == "underflow":
+        batch[1] = 0.0
+        batch[n // 2] = 1e-170
+    return batch
+
+
+def kernel_assignment(n):
+    rng = Rng(n).split("assignment")
+    ids = np.asarray(rng.integers(0, 2, size=n))
+    mask = np.asarray(rng.uniform(0, 1, size=n)) < 0.7
+    # The rows kernel_batch makes coincide form a retained cross pair.
+    ids[1], ids[n // 2] = 0, 1
+    mask[1] = mask[n // 2] = True
+    return FuzzyAssignment(cluster_ids=ids, confidences=np.ones(n), retained_mask=mask)
 
 
 class TestEstimateLocalSensitivity:
@@ -115,6 +183,16 @@ class TestKlSurrogate:
         numeric = central_difference(scalar, batch)
         assert relative_error(grad, numeric) < 1e-4
 
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_bit_equal_to_scatter_reference(self, n, case):
+        batch = kernel_batch(n, case)
+        loss, grad = kl_surrogate_loss(batch, 0.7)
+        ref_loss, ref_grad = kl_reference(batch, 0.7)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+        assert np.all(np.isfinite(grad))
+
     def test_alpha_zero_short_circuits(self):
         batch = Rng(1).normal(0, 1, (5, 2))
         loss, grad = kl_surrogate_loss(batch, 0.0)
@@ -175,6 +253,24 @@ class TestFcm:
         assignment, centers = fcm(points, 3, rng=Rng(2))
         # With 3 clusters for 3 points the centers converge onto the points.
         assert np.all(assignment.confidences > 0.999)
+
+    @pytest.mark.parametrize("on_center", [False, True])
+    def test_memberships_bit_equal_to_reference(self, on_center):
+        points = Rng(8).normal(0, 1, (30, 4))
+        centers = points[[3, 10, 20]].copy() if on_center else Rng(9).normal(0, 1, (3, 4))
+        diff = points[:, None, :] - centers[None, :, :]
+        dist = np.sqrt(np.einsum("ick,ick->ic", diff, diff))
+        hit = (dist == 0.0).any(axis=1)
+        expected = np.empty_like(dist)
+        expected[hit] = (dist[hit] == 0.0) / (dist[hit] == 0.0).sum(axis=1, keepdims=True)
+        inv = dist[~hit] ** -2.0
+        expected[~hit] = inv / inv.sum(axis=1, keepdims=True)
+
+        u = _memberships(points, centers, 2.0)
+        assert np.array_equal(u, expected)
+        if on_center:
+            # The points on a center take the coincident-center branch.
+            assert np.array_equal(u[[3, 10, 20]], np.eye(3))
 
     def test_memberships_row_sum_one(self):
         points = Rng(3).normal(0, 1, (40, 5))
@@ -310,6 +406,17 @@ class TestContrastiveLoss:
         loss, grad = contrastive_loss(batch, assignment, beta)
         numeric = central_difference(scalar, batch)
         assert relative_error(grad, numeric) < 1e-4
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_bit_equal_to_scatter_reference(self, n, case):
+        batch = kernel_batch(n, case)
+        assignment = kernel_assignment(n)
+        loss, grad = contrastive_loss(batch, assignment, 0.9)
+        ref_loss, ref_grad = contrastive_reference(batch, assignment, 0.9)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+        assert np.any(grad != 0.0)
 
     def test_insufficient_retained_rows_warns(self, caplog):
         batch = np.zeros((3, 2))

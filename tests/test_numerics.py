@@ -19,6 +19,14 @@ from dpvfl.numerics import (
 from conftest import erf_inv_bisect
 
 
+def per_row_distances(batch):
+    """Reference: one row's distances to every later row at a time."""
+    return np.concatenate([
+        np.sqrt(np.einsum("ij,ij->i", batch[j + 1:] - batch[j], batch[j + 1:] - batch[j]))
+        for j in range(batch.shape[0] - 1)
+    ])
+
+
 class TestRng:
     def test_same_seed_same_stream(self):
         a = Rng(123).normal(0, 1, (4, 4))
@@ -121,6 +129,16 @@ class TestPairwiseDistances:
     def test_needs_two_rows(self):
         with pytest.raises(ArgumentError):
             pairwise_distances([[1.0, 2.0]])
+
+    @pytest.mark.parametrize("n", [4, 5, 60, 100])
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_bit_equal_to_per_row_loop(self, n, duplicate):
+        batch = Rng(n).normal(0, 1, (n, 16))
+        if duplicate:
+            batch[n // 2] = batch[1]
+        d = pairwise_distances(batch)
+        assert np.array_equal(d, per_row_distances(batch))
+        assert np.count_nonzero(d == 0.0) == int(duplicate)
 
     @settings(max_examples=50)
     @given(st.integers(min_value=0, max_value=2**32 - 1))

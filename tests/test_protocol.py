@@ -17,6 +17,7 @@ from dpvfl.protocol import (
     GradientDown,
     MessageChannel,
     Parties,
+    PassiveParty,
     evaluate,
     run_round,
     sample_aligned_batch,
@@ -60,6 +61,16 @@ class TestMessages:
         msg = GradientDown(0, 1, np.ones((2, 2)))
         with pytest.raises(ValueError):
             msg.grad[0, 0] = 5.0
+
+    def test_rounds_leave_no_queued_keys(self):
+        cfg, data, parties = build_run()
+        channel = MessageChannel()
+        rng = Rng(9)
+        for batch_index in range(3):
+            indices = sample_aligned_batch(data.train.n_rows, 24, rng)
+            run_round(parties, indices, batch_index, channel)
+        assert channel._queues == {}
+        assert len(channel.log) == 12
 
     def test_missing_message_names_party_and_round(self):
         channel = MessageChannel()
@@ -155,8 +166,6 @@ class TestRunRound:
             run_round(parties, indices, batch_index, channel)
         ups = [m for m in channel.log if m.kind == EMBEDDING_UP]
         assert len(ups) == 6
-        for party in parties.passives:
-            clipped = party._trace.clipped if party._trace else None
         # With sigma > 0, no released row may coincide with a pre-noise row.
         for message in ups:
             party = parties.passives[message.party_id]
@@ -275,6 +284,28 @@ class TestEvaluate:
         a = evaluate(parties, data.test, Rng(1), with_noise=True)
         b = evaluate(parties, data.test, Rng(1), with_noise=True)
         assert a == b
+
+    def test_repeats_equal_mean_of_single_draws(self):
+        cfg, data, parties = build_run()
+        rng = Rng(5).split("eval-epoch", 1)
+        single = [evaluate(parties, data.test, rng.split("repeat", i), repeats=1)
+                  for i in range(3)]
+        assert evaluate(parties, data.test, rng, repeats=3) == float(np.mean(single))
+
+    def test_repeats_share_one_release_per_batch_and_party(self, monkeypatch):
+        cfg, data, parties = build_run()
+        calls = []
+        original = PassiveParty.compute_release
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.party_id)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PassiveParty, "compute_release", counting)
+        evaluate(parties, data.test, Rng(1), batch_size=10, repeats=3)
+        batches = -(-data.test.n_rows // 10)
+        assert batches > 1
+        assert len(calls) == batches * len(parties.passives)
 
     def test_party_isolation_invariants(self):
         cfg, data, parties = build_run()
