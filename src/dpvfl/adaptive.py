@@ -107,19 +107,23 @@ def _distance_moment_penalty(d: np.ndarray) -> tuple[float, np.ndarray]:
     """
     count = d.size
     centered = d - d.mean()
-    m2 = float(np.mean(centered**2))
+    # Each power is taken once: x**3 and x**4 of mixed-sign inputs run off
+    # numpy's vectorized path and dominate the cost of this function.
+    squared = centered**2
+    m2 = float(np.mean(squared))
     scale = max(float(np.mean(d * d)), 1.0)
     if m2 <= 1e-14 * scale:
         return 0.0, np.zeros_like(d)
-    m3 = float(np.mean(centered**3))
+    cubed = centered**3
+    m3 = float(np.mean(cubed))
     m4 = float(np.mean(centered**4))
     skew = m3 / m2**1.5
     ex_kurt = m4 / m2**2 - 3.0
     value = skew * skew + ex_kurt * ex_kurt
 
     dm2 = 2.0 * centered / count
-    dm3 = 3.0 * (centered**2 - m2) / count
-    dm4 = 4.0 * (centered**3 - m3) / count
+    dm3 = 3.0 * (squared - m2) / count
+    dm4 = 4.0 * (cubed - m3) / count
     dskew = dm3 / m2**1.5 - 1.5 * m3 / m2**2.5 * dm2
     dkurt = dm4 / m2**2 - 2.0 * m4 / m2**3 * dm2
     grad = 2.0 * skew * dskew + 2.0 * ex_kurt * dkurt
@@ -241,13 +245,13 @@ def _memberships(points: np.ndarray, centers: np.ndarray, fuzzifier: float) -> n
     diff = points[:, None, :] - centers[None, :, :]
     dist = np.sqrt(np.einsum("ick,ick->ic", diff, diff))
     exponent = -2.0 / (fuzzifier - 1.0)
-    coincident = dist == 0.0
-    hit = coincident.any(axis=1)
-    if not np.any(hit):
+    if dist.all():
         inv = dist**exponent
         return inv / inv.sum(axis=1, keepdims=True)
     # A point sitting on a center belongs there outright (split evenly if
     # several centers coincide with it).
+    coincident = dist == 0.0
+    hit = coincident.any(axis=1)
     u = np.empty_like(dist)
     rows = coincident[hit]
     u[hit] = rows / rows.sum(axis=1, keepdims=True)
@@ -256,6 +260,24 @@ def _memberships(points: np.ndarray, centers: np.ndarray, fuzzifier: float) -> n
         inv = dist[free] ** exponent
         u[free] = inv / inv.sum(axis=1, keepdims=True)
     return u
+
+
+def _unique_rows(p: np.ndarray) -> np.ndarray:
+    """``np.unique(p, axis=0)`` of a finite matrix, bit for bit.
+
+    A lexsort (column 0 as primary key) and an adjacent-row compare give the
+    same rows in the same order at a third of the cost. Equal rows are then
+    bit-identical, so which copy survives does not matter, except when a
+    ``-0.0`` entry makes rows equal that differ in bits: ``np.unique`` keeps
+    whichever its unstable sort puts first, so such batches go to it.
+    """
+    if np.signbit(p[p == 0.0]).any():
+        return np.unique(p, axis=0)
+    ordered = p[np.lexsort(p.T[::-1])]
+    keep = np.empty(ordered.shape[0], dtype=bool)
+    keep[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=keep[1:])
+    return ordered[keep]
 
 
 def fcm_objective(points, centers, memberships, fuzzifier: float) -> float:
@@ -297,7 +319,7 @@ def fcm(
     if rng is None:
         rng = Rng(0)
 
-    unique_rows = np.unique(p, axis=0)
+    unique_rows = _unique_rows(p)
     degenerate = unique_rows.shape[0] < n_clusters
     if degenerate:
         picks = rng.choice(n, size=n_clusters, replace=False)
@@ -310,9 +332,15 @@ def fcm(
     for _ in range(max_iter):
         w = u**fuzzifier
         mass = w.sum(axis=0)
-        new_centers = centers.copy()
         alive = mass > 1e-300
-        new_centers[alive] = (w[:, alive].T @ p) / mass[alive, None]
+        if alive.all():
+            # A C-ordered copy of w.T has the layout of w[:, alive].T, so BLAS
+            # adds the same terms in the same order; the F-ordered view w.T
+            # would take another kernel and change the last bits.
+            new_centers = (np.ascontiguousarray(w.T) @ p) / mass[:, None]
+        else:
+            new_centers = centers.copy()
+            new_centers[alive] = (w[:, alive].T @ p) / mass[alive, None]
         movement = float(np.linalg.norm(new_centers - centers, axis=1).max())
         centers = new_centers
         u = _memberships(p, centers, fuzzifier)

@@ -366,8 +366,8 @@ def _shadow_run(cfg: ExperimentConfig, shadow_index: int, victim_data: DatasetSp
                 shadow_cfg, training=replace(shadow_cfg.training, batch_size=max_batch)
             )
     parties = build_parties(shadow_cfg, data, shadow_seed)
-    train(parties, data, Rng(shadow_seed),
-          evaluate_with_noise=shadow_cfg.evaluation.with_noise)
+    # No caller reads a shadow's per-epoch test accuracy.
+    train(parties, data, Rng(shadow_seed), evaluate_each_epoch=False)
     return VflVictim(parties, tag=f"shadow-{shadow_index}"), data
 
 

@@ -133,6 +133,22 @@ def _stage(timer: StageTimer | None, name: str):
     return timer.stage(name) if timer is not None else nullcontext()
 
 
+def _check_finite(values, batch_index: int, party: str, what: str) -> None:
+    """Fail a diverged round loudly, naming the round and the party."""
+    if not np.isfinite(values).all():
+        where = f"round {batch_index}" if batch_index >= 0 else "outside a round"
+        raise ProtocolError(f"{where}, {party}: {what} is non-finite; training diverged")
+
+
+@contextmanager
+def _in_epoch(epoch: int):
+    """Prefix the epoch to any ProtocolError raised inside."""
+    try:
+        yield
+    except ProtocolError as exc:
+        raise ProtocolError(f"epoch {epoch}, {exc}") from exc
+
+
 @dataclass(frozen=True)
 class AdaptiveConfig:
     """Per-party switches and knobs for the utility-recovery techniques."""
@@ -235,6 +251,7 @@ class PassiveParty:
         stages = []
         with _stage(timer, StageTimer.BASE):
             raw = self.extractor.forward(x)
+        _check_finite(raw, batch_index, f"party {self.party_id}", "the extractor output")
         if not self.protected:
             return ReleaseTrace(
                 batch_index=batch_index, raw=raw, clipped=raw, estimate=None,
@@ -289,6 +306,7 @@ class PassiveParty:
         trace = self._trace
         message = channel.receive(GRADIENT_DOWN, self.party_id, batch_index)
         grad = np.asarray(message.grad)
+        _check_finite(grad, batch_index, f"party {self.party_id}", "the returned gradient")
         stats = PartyRoundStats(
             delta_local=None if trace.estimate is None else trace.estimate.delta_local
         )
@@ -382,6 +400,7 @@ class ActiveParty:
                 )
             y = self.labels[indices]
             logits = self.head.forward(concat)
+            _check_finite(logits, batch_index, "the active party", "the head loss")
             loss, logit_grad = cross_entropy_softmax(logits, y)
             accuracy = float(np.mean(np.argmax(logits, axis=1) == y))
             grads, input_grad = self.head.backward(logit_grad)
@@ -511,7 +530,7 @@ class EpochMetrics:
     epoch: int
     train_loss: float
     train_accuracy: float
-    test_accuracy: float
+    test_accuracy: float | None
     mean_delta: dict[int, float] = field(default_factory=dict)
     mean_purity: dict[int, float] = field(default_factory=dict)
 
@@ -529,6 +548,7 @@ def train(
     *,
     evaluate_with_noise: bool = True,
     eval_repeats: int = 1,
+    evaluate_each_epoch: bool = True,
     on_round=None,
     timer: StageTimer | None = None,
 ) -> TrainingHistory:
@@ -536,7 +556,12 @@ def train(
 
     Zero configured epochs returns an empty history without touching any
     party. ``on_round`` (epoch, RoundMetrics) and ``timer`` are observers
-    for logging and the timing breakdown.
+    for logging and the timing breakdown. ``evaluate_each_epoch=False``
+    skips the per-epoch test evaluation and records ``test_accuracy=None``;
+    the trained parties are the same, because evaluation works on copies
+    and only splits RNG streams. A round whose extractor output, head loss
+    or returned gradient is non-finite raises ``ProtocolError`` naming the
+    epoch, round and party.
     """
     config = parties.active.config
     n_train = data.train.n_rows
@@ -550,37 +575,40 @@ def train(
     history = TrainingHistory()
     batch_index = 0
     for epoch in range(config.epochs):
-        losses, accuracies = [], []
-        deltas: dict[int, list] = {p.party_id: [] for p in parties.passives}
-        purities: dict[int, list] = {p.party_id: [] for p in parties.passives}
-        for _ in range(rounds_per_epoch):
-            indices = sample_aligned_batch(n_train, config.batch_size, batch_rng)
-            metrics = run_round(
-                parties, indices, batch_index, channel,
-                batch_labels_for_diagnostics=data.train.labels[indices],
-                timer=timer,
-            )
-            if on_round is not None:
-                on_round(epoch, metrics)
-            losses.append(metrics.loss)
-            accuracies.append(metrics.accuracy)
-            for pid, stats in metrics.party_stats.items():
-                if stats.delta_local is not None:
-                    deltas[pid].append(stats.delta_local)
-                if stats.purity is not None:
-                    purities[pid].append(stats.purity)
-            batch_index += 1
-        test_accuracy = evaluate(
-            parties, data.test, rng.split("eval-epoch", epoch),
-            with_noise=evaluate_with_noise, repeats=eval_repeats,
-        )
-        history.epochs.append(EpochMetrics(
-            epoch=epoch,
-            train_loss=float(np.mean(losses)),
-            train_accuracy=float(np.mean(accuracies)),
-            test_accuracy=test_accuracy,
-            mean_delta={pid: float(np.mean(v)) for pid, v in deltas.items() if v},
-            mean_purity={pid: float(np.mean(v)) for pid, v in purities.items() if v},
-        ))
+        with _in_epoch(epoch):
+            losses, accuracies = [], []
+            deltas: dict[int, list] = {p.party_id: [] for p in parties.passives}
+            purities: dict[int, list] = {p.party_id: [] for p in parties.passives}
+            for _ in range(rounds_per_epoch):
+                indices = sample_aligned_batch(n_train, config.batch_size, batch_rng)
+                metrics = run_round(
+                    parties, indices, batch_index, channel,
+                    batch_labels_for_diagnostics=data.train.labels[indices],
+                    timer=timer,
+                )
+                if on_round is not None:
+                    on_round(epoch, metrics)
+                losses.append(metrics.loss)
+                accuracies.append(metrics.accuracy)
+                for pid, stats in metrics.party_stats.items():
+                    if stats.delta_local is not None:
+                        deltas[pid].append(stats.delta_local)
+                    if stats.purity is not None:
+                        purities[pid].append(stats.purity)
+                batch_index += 1
+            test_accuracy = None
+            if evaluate_each_epoch:
+                test_accuracy = evaluate(
+                    parties, data.test, rng.split("eval-epoch", epoch),
+                    with_noise=evaluate_with_noise, repeats=eval_repeats,
+                )
+            history.epochs.append(EpochMetrics(
+                epoch=epoch,
+                train_loss=float(np.mean(losses)),
+                train_accuracy=float(np.mean(accuracies)),
+                test_accuracy=test_accuracy,
+                mean_delta={pid: float(np.mean(v)) for pid, v in deltas.items() if v},
+                mean_purity={pid: float(np.mean(v)) for pid, v in purities.items() if v},
+            ))
     history.rounds = batch_index
     return history

@@ -8,6 +8,7 @@ from dpvfl.adaptive import (
     FuzzyAssignment,
     _distance_moment_penalty,
     _memberships,
+    _unique_rows,
     contrastive_loss,
     estimate_local_sensitivity,
     exact_diameter_estimate,
@@ -44,12 +45,33 @@ def unit_reference(diffs, d):
     return unit
 
 
+def moment_penalty_reference(d):
+    count = d.size
+    centered = d - d.mean()
+    m2 = float(np.mean(centered**2))
+    scale = max(float(np.mean(d * d)), 1.0)
+    if m2 <= 1e-14 * scale:
+        return 0.0, np.zeros_like(d)
+    m3 = float(np.mean(centered**3))
+    m4 = float(np.mean(centered**4))
+    skew = m3 / m2**1.5
+    ex_kurt = m4 / m2**2 - 3.0
+    value = skew * skew + ex_kurt * ex_kurt
+    dm2 = 2.0 * centered / count
+    dm3 = 3.0 * (centered**2 - m2) / count
+    dm4 = 4.0 * (centered**3 - m3) / count
+    dskew = dm3 / m2**1.5 - 1.5 * m3 / m2**2.5 * dm2
+    dkurt = dm4 / m2**2 - 2.0 * m4 / m2**3 * dm2
+    grad = 2.0 * skew * dskew + 2.0 * ex_kurt * dkurt
+    return value, grad
+
+
 def kl_reference(batch, alpha):
     n = batch.shape[0]
     j_idx, k_idx = np.triu_indices(n, k=1)
     diffs = batch[j_idx] - batch[k_idx]
     d = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    value, d_grad = _distance_moment_penalty(d)
+    value, d_grad = moment_penalty_reference(d)
     contrib = (alpha * d_grad)[:, None] * unit_reference(diffs, d)
     return alpha * value, scatter_reference(n, j_idx, k_idx, contrib)
 
@@ -66,6 +88,72 @@ def contrastive_reference(batch, assignment, beta):
     loss = -beta / (n * n) * 2.0 * float(d.sum())
     contrib = (-2.0 * beta / (n * n)) * unit_reference(diffs, d)
     return loss, scatter_reference(n, j_idx, k_idx, contrib)
+
+
+# The memberships and fcm loop that fcm must match bit for bit: a mask built
+# before every memberships update, masked center updates, np.unique.
+
+def memberships_reference(points, centers, fuzzifier):
+    diff = points[:, None, :] - centers[None, :, :]
+    dist = np.sqrt(np.einsum("ick,ick->ic", diff, diff))
+    exponent = -2.0 / (fuzzifier - 1.0)
+    coincident = dist == 0.0
+    hit = coincident.any(axis=1)
+    if not np.any(hit):
+        inv = dist**exponent
+        return inv / inv.sum(axis=1, keepdims=True)
+    u = np.empty_like(dist)
+    rows = coincident[hit]
+    u[hit] = rows / rows.sum(axis=1, keepdims=True)
+    free = ~hit
+    if np.any(free):
+        inv = dist[free] ** exponent
+        u[free] = inv / inv.sum(axis=1, keepdims=True)
+    return u
+
+
+def fcm_reference(p, n_clusters, rng, fuzzifier=2.0, max_iter=100, tol=1e-5):
+    n = p.shape[0]
+    unique_rows = np.unique(p, axis=0)
+    degenerate = unique_rows.shape[0] < n_clusters
+    if degenerate:
+        centers = p[rng.choice(n, size=n_clusters, replace=False)].copy()
+    else:
+        picks = rng.choice(unique_rows.shape[0], size=n_clusters, replace=False)
+        centers = unique_rows[picks].copy()
+    u = memberships_reference(p, centers, fuzzifier)
+    for _ in range(max_iter):
+        w = u**fuzzifier
+        mass = w.sum(axis=0)
+        new_centers = centers.copy()
+        alive = mass > 1e-300
+        new_centers[alive] = (w[:, alive].T @ p) / mass[alive, None]
+        movement = float(np.linalg.norm(new_centers - centers, axis=1).max())
+        centers = new_centers
+        u = memberships_reference(p, centers, fuzzifier)
+        if movement < tol:
+            break
+    ids = np.argmax(u, axis=1)
+    return ids, u[np.arange(n), ids], u, centers, degenerate
+
+
+FCM_SIZES = [4, 60, 100]
+# "duplicates" holds 3 distinct rows, so 4 clusters make it degenerate;
+# "signed_zeros" has +0.0 and -0.0 entries in otherwise equal rows, which
+# np.unique treats as duplicates.
+FCM_CASES = ["plain", "duplicates", "signed_zeros"]
+
+
+def fcm_batch(n, case):
+    rng = Rng(n).split("fcm", case)
+    if case == "plain":
+        return rng.normal(0, 1, (n, 6))
+    if case == "duplicates":
+        return rng.normal(0, 1, (3, 6))[np.arange(n) % 3]
+    grid = np.asarray(rng.integers(-1, 2, size=(n, 3)), dtype=np.float64)
+    flip = (grid == 0.0) & (np.asarray(rng.uniform(0, 1, size=(n, 3))) < 0.5)
+    grid[flip] = -0.0
+    return grid
 
 
 KERNEL_SIZES = [4, 5, 60, 100]
@@ -170,6 +258,16 @@ class TestKlSurrogate:
         assert abs(value) < 1e-12
         assert np.all(np.isfinite(grad))
 
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    @pytest.mark.parametrize("case", KERNEL_CASES + ["constant"])
+    def test_moment_penalty_bit_equal_to_reference(self, n, case):
+        batch = np.ones((n, 16)) if case == "constant" else kernel_batch(n, case)
+        d = pairwise_distances(batch)
+        value, grad = _distance_moment_penalty(d)
+        ref_value, ref_grad = moment_penalty_reference(d)
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
+
     def test_gradient_matches_finite_differences(self):
         rng = Rng(9)
         batch = rng.normal(0, 1, (6, 3))
@@ -271,6 +369,47 @@ class TestFcm:
         if on_center:
             # The points on a center take the coincident-center branch.
             assert np.array_equal(u[[3, 10, 20]], np.eye(3))
+
+    @pytest.mark.parametrize("n", FCM_SIZES)
+    @pytest.mark.parametrize("c", [2, 4])
+    @pytest.mark.parametrize("case", FCM_CASES + ["on_center"])
+    def test_memberships_bit_equal_to_pre_change(self, n, c, case):
+        points = fcm_batch(n, "plain" if case == "on_center" else case)
+        if case == "on_center":
+            centers = points[:c].copy()
+        else:
+            centers = Rng(c).normal(0, 1, (c, points.shape[1]))
+        u = _memberships(points, centers, 2.0)
+        assert np.array_equal(u, memberships_reference(points, centers, 2.0))
+
+    @pytest.mark.parametrize("n", FCM_SIZES)
+    @pytest.mark.parametrize("c", [2, 4])
+    @pytest.mark.parametrize("case", FCM_CASES)
+    def test_fcm_bit_equal_to_pre_change(self, n, c, case):
+        # The initial centers are rows of the batch, so the first memberships
+        # update always takes the point-on-a-center path.
+        points = fcm_batch(n, case)
+        assignment, centers = fcm(points, c, rng=Rng(11))
+        ids, confidences, u, ref_centers, degenerate = fcm_reference(points, c, Rng(11))
+        assert np.array_equal(assignment.cluster_ids, ids)
+        assert np.array_equal(assignment.confidences, confidences)
+        assert np.array_equal(assignment.memberships, u)
+        assert np.array_equal(centers, ref_centers)
+        assert assignment.degenerate == degenerate
+        if case == "duplicates":
+            assert assignment.degenerate == (c > 3)
+
+    @pytest.mark.parametrize("n", FCM_SIZES)
+    @pytest.mark.parametrize("case", FCM_CASES)
+    def test_unique_rows_bit_equal_to_np_unique(self, n, case):
+        points = fcm_batch(n, case)
+        expected = np.unique(points, axis=0)
+        got = _unique_rows(points)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        if case == "signed_zeros" and n > 4:
+            assert np.signbit(points[points == 0.0]).any()
+            assert got.shape[0] < n
 
     def test_memberships_row_sum_one(self):
         points = Rng(3).normal(0, 1, (40, 5))

@@ -4,8 +4,10 @@ import pytest
 
 from dpvfl.config import ExperimentConfig, load_config, parse_config
 from dpvfl.errors import ConfigError
+from dpvfl import protocol
 from dpvfl.experiment import (
     VflVictim,
+    _shadow_run,
     build_dataset,
     build_parties,
     measure_stage_times,
@@ -99,6 +101,34 @@ class TestBuilders:
         b = run_training(cfg)
         for ea, eb in zip(a.history.epochs, b.history.epochs):
             assert ea == eb
+
+
+def count_evaluations(monkeypatch) -> list:
+    calls = []
+    original = protocol.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "evaluate", counting)
+    return calls
+
+
+class TestEvaluationPerEpoch:
+    def test_shadow_run_never_evaluates(self, monkeypatch):
+        cfg = parse_config(tiny_raw(**{"attack.shadow_epochs": 2}))
+        calls = count_evaluations(monkeypatch)
+        shadow, data = _shadow_run(cfg, 0, build_dataset(cfg), None)
+        assert calls == []
+        assert shadow.tag == "shadow-0" and data.train.n_rows > 0
+
+    def test_run_training_evaluates_every_epoch(self, monkeypatch):
+        cfg = parse_config(tiny_raw(**{"training.epochs": 3}))
+        calls = count_evaluations(monkeypatch)
+        result = run_training(cfg)
+        assert len(calls) == 3
+        assert all(e.test_accuracy is not None for e in result.history.epochs)
 
 
 class TestVictimAccess:

@@ -127,6 +127,17 @@ class TestRunRound:
         with pytest.raises(ProtocolError, match="width"):
             run_round(lone, indices, 0)
 
+    def test_non_finite_returned_gradient_names_round_and_party(self):
+        cfg, data, parties = build_run()
+        party = parties.passives[1]
+        channel = MessageChannel()
+        party.begin_round(4)
+        party.embed_and_share(np.arange(24), 4, channel)
+        channel.send(GradientDown(1, 4, np.full((24, 6), np.inf)))
+        with pytest.raises(ProtocolError,
+                           match="round 4, party 1: the returned gradient is non-finite"):
+            party.receive_and_update(4, channel)
+
     def test_vanilla_gating_equals_manual_clip_noise_pipeline(self):
         # With both toggles off the released batch must equal clip + noise
         # applied directly, bit for bit.
@@ -216,6 +227,37 @@ class TestTrain:
             history = train(parties, data, Rng(cfg.seed))
             outputs.append(json.dumps([asdict(e) for e in history.epochs]))
         assert outputs[0] == outputs[1]
+
+    def test_skipping_evaluation_leaves_training_unchanged(self):
+        runs = []
+        for evaluate_each_epoch in (True, False):
+            cfg, data, parties = build_run()
+            history = train(parties, data, Rng(cfg.seed),
+                            evaluate_each_epoch=evaluate_each_epoch)
+            nets = [p.extractor for p in parties.passives] + [parties.active.head]
+            runs.append((history, [(l.weights, l.bias) for n in nets for l in n.layers]))
+        (evaluated, weights), (skipped, skipped_weights) = runs
+        for (w, b), (w2, b2) in zip(weights, skipped_weights):
+            assert np.array_equal(w, w2) and np.array_equal(b, b2)
+        assert all(e.test_accuracy is not None for e in evaluated.epochs)
+        assert all(e.test_accuracy is None for e in skipped.epochs)
+        assert [e.train_loss for e in evaluated.epochs] == [e.train_loss for e in skipped.epochs]
+
+    # Unprotected identity nets blow up: at lr 10 the head loss goes
+    # non-finite first, at lr 1e6 the extractor output.
+    @pytest.mark.parametrize("lr, where", [
+        (10.0, r"epoch \d+, round \d+, the active party: the head loss is non-finite"),
+        (1e6, r"epoch \d+, round \d+, party 0: the extractor output is non-finite"),
+    ])
+    def test_divergence_names_epoch_round_and_party(self, lr, where):
+        cfg, data, parties = build_run(**{
+            "training.learning_rate": lr, "training.epochs": 4,
+            "model.activation": "identity", "privacy.enabled": False,
+            "adaptive.rescale": False, "adaptive.dist_adjust": False,
+        })
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ProtocolError, match=where):
+            train(parties, data, Rng(cfg.seed))
 
     def test_round_callback_sees_every_round(self):
         cfg, data, parties = build_run(**{"training.epochs": 1})
