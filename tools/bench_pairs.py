@@ -1,6 +1,6 @@
 """Paired parent/change benchmark runs, written to one BENCH_<label>.json.
 
-    python3 tools/bench_pairs.py --label pr3_attack --parent HEAD~1 --change HEAD \\
+    python3 tools/bench_pairs.py --label attack_speedup --parent HEAD~1 --change HEAD \\
         --pairs attack_seed=701-710 --pairs train_full=801-810 \\
         --traced attack_seed=711 --tier1
 
@@ -8,11 +8,12 @@ Run it from the root of a dpvfl git checkout. Each revision is exported
 with ``git archive`` into its own temporary directory, so uncommitted
 files take no part. For every seed of a ``--pairs`` workload it runs
 ``perfbench/run.py --trace 0`` once on each side, alternating which side
-goes first (even pair index: parent first). ``--traced`` adds one
-``--trace 1`` run per side, and ``--tier1`` times the Tier-1 suite once
-per side. The record holds every run's metrics, artefact sha256s and
-provenance, each side's quartiles of the end-to-end metrics of
-``BENCHMARK.json``, and the change's wins and losses over the pairs.
+goes first (even pair index: parent first), for ``run_seconds`` of
+``BENCHMARK.json``. ``--traced`` adds one ``--trace 1`` run per side, and
+``--tier1`` times the Tier-1 suite once per side. The record holds every
+run's metrics, artefact sha256s and provenance, each side's quartiles of
+the end-to-end metrics of ``BENCHMARK.json``, and the change's wins and
+losses over the pairs.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ def parse_args(argv):
                         help="seeds as 'a-b' or 'a,b,c'; repeat for more workloads")
     parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD=SEED")
     parser.add_argument("--tier1", action="store_true", help="time the Tier-1 suite per side")
-    parser.add_argument("--seconds", type=float, default=44.0)
     parser.add_argument("--title", default="")
     parser.add_argument("--workdir", default=None, help="parent of the temporary checkouts")
     return parser.parse_args(argv)
@@ -149,6 +149,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     repo = Path.cwd().resolve()
     bench = json.loads((repo / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
     shas = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
     record = {
         "title": args.title,
@@ -156,7 +157,7 @@ def main(argv=None) -> int:
         "change_sha": shas["change"],
         "method": {
             "command": f"python3 perfbench/run.py --workload W --seed N "
-                       f"--seconds {args.seconds:g} --trace 0",
+                       f"--seconds {seconds:g} --trace 0",
             "checkouts": "git archive of each revision into its own temporary directory",
             "order": "one run per side and seed; even pair index runs the parent first",
             "quartiles": "numpy linear-interpolation 25th/50th/75th percentiles "
@@ -175,7 +176,7 @@ def main(argv=None) -> int:
             for index, seed in enumerate(seeds):
                 order = SIDES if index % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    result = perfbench(roots[side], workload, seed, args.seconds, 0)
+                    result = perfbench(roots[side], workload, seed, seconds, 0)
                     runs.append(run_record(len(runs), side, seed, result))
                     print(f"{workload} seed {seed} {side}: "
                           f"wall_s={result['metrics']['wall_s']:.3f}", flush=True)
@@ -192,7 +193,7 @@ def main(argv=None) -> int:
             for seed in seeds:
                 traced = {}
                 for side in SIDES:
-                    result = perfbench(roots[side], workload, seed, args.seconds, 1)
+                    result = perfbench(roots[side], workload, seed, seconds, 1)
                     traced[side] = {key: result[key] for key in
                                     ("correct", "failed", "problems", "metrics")}
                     traced[side]["sha256"] = result["jobs"][0]["digests"]
