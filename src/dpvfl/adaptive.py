@@ -262,24 +262,6 @@ def _memberships(points: np.ndarray, centers: np.ndarray, fuzzifier: float) -> n
     return u
 
 
-def _unique_rows(p: np.ndarray) -> np.ndarray:
-    """``np.unique(p, axis=0)`` of a finite matrix, bit for bit.
-
-    A lexsort (column 0 as primary key) and an adjacent-row compare give the
-    same rows in the same order at a third of the cost. Equal rows are then
-    bit-identical, so which copy survives does not matter, except when a
-    ``-0.0`` entry makes rows equal that differ in bits: ``np.unique`` keeps
-    whichever its unstable sort puts first, so such batches go to it.
-    """
-    if np.signbit(p[p == 0.0]).any():
-        return np.unique(p, axis=0)
-    ordered = p[np.lexsort(p.T[::-1])]
-    keep = np.empty(ordered.shape[0], dtype=bool)
-    keep[0] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=keep[1:])
-    return ordered[keep]
-
-
 def fcm_objective(points, centers, memberships, fuzzifier: float) -> float:
     """The fuzzy within-cluster objective sum_ij u_ij^m ||x_i - c_j||^2."""
     p = as_matrix(points, "points")
@@ -319,7 +301,7 @@ def fcm(
     if rng is None:
         rng = Rng(0)
 
-    unique_rows = _unique_rows(p)
+    unique_rows = np.unique(p, axis=0)
     degenerate = unique_rows.shape[0] < n_clusters
     if degenerate:
         picks = rng.choice(n, size=n_clusters, replace=False)
@@ -332,15 +314,9 @@ def fcm(
     for _ in range(max_iter):
         w = u**fuzzifier
         mass = w.sum(axis=0)
+        new_centers = centers.copy()
         alive = mass > 1e-300
-        if alive.all():
-            # A C-ordered copy of w.T has the layout of w[:, alive].T, so BLAS
-            # adds the same terms in the same order; the F-ordered view w.T
-            # would take another kernel and change the last bits.
-            new_centers = (np.ascontiguousarray(w.T) @ p) / mass[:, None]
-        else:
-            new_centers = centers.copy()
-            new_centers[alive] = (w[:, alive].T @ p) / mass[alive, None]
+        new_centers[alive] = (w[:, alive].T @ p) / mass[alive, None]
         movement = float(np.linalg.norm(new_centers - centers, axis=1).max())
         centers = new_centers
         u = _memberships(p, centers, fuzzifier)

@@ -137,7 +137,7 @@ def _check_finite(values, batch_index: int, party: str, what: str) -> None:
     """Fail a diverged round loudly, naming the round and the party."""
     if not np.isfinite(values).all():
         where = f"round {batch_index}" if batch_index >= 0 else "outside a round"
-        raise ProtocolError(f"{where}, {party}: {what} is non-finite; training diverged")
+        raise ProtocolError(f"{where}, {party}: non-finite values in {what}; training diverged")
 
 
 @contextmanager
@@ -400,7 +400,7 @@ class ActiveParty:
                 )
             y = self.labels[indices]
             logits = self.head.forward(concat)
-            _check_finite(logits, batch_index, "the active party", "the head loss")
+            _check_finite(logits, batch_index, "the active party", "the head logits")
             loss, logit_grad = cross_entropy_softmax(logits, y)
             accuracy = float(np.mean(np.argmax(logits, axis=1) == y))
             grads, input_grad = self.head.backward(logit_grad)
@@ -559,9 +559,9 @@ def train(
     for logging and the timing breakdown. ``evaluate_each_epoch=False``
     skips the per-epoch test evaluation and records ``test_accuracy=None``;
     the trained parties are the same, because evaluation works on copies
-    and only splits RNG streams. A round whose extractor output, head loss
-    or returned gradient is non-finite raises ``ProtocolError`` naming the
-    epoch, round and party.
+    and only splits RNG streams. A round with a non-finite value in an
+    extractor output, the head logits or a returned gradient raises
+    ``ProtocolError`` naming the epoch, round and party.
     """
     config = parties.active.config
     n_train = data.train.n_rows

@@ -8,7 +8,6 @@ from dpvfl.adaptive import (
     FuzzyAssignment,
     _distance_moment_penalty,
     _memberships,
-    _unique_rows,
     contrastive_loss,
     estimate_local_sensitivity,
     exact_diameter_estimate,
@@ -398,18 +397,6 @@ class TestFcm:
         assert assignment.degenerate == degenerate
         if case == "duplicates":
             assert assignment.degenerate == (c > 3)
-
-    @pytest.mark.parametrize("n", FCM_SIZES)
-    @pytest.mark.parametrize("case", FCM_CASES)
-    def test_unique_rows_bit_equal_to_np_unique(self, n, case):
-        points = fcm_batch(n, case)
-        expected = np.unique(points, axis=0)
-        got = _unique_rows(points)
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
-        if case == "signed_zeros" and n > 4:
-            assert np.signbit(points[points == 0.0]).any()
-            assert got.shape[0] < n
 
     def test_memberships_row_sum_one(self):
         points = Rng(3).normal(0, 1, (40, 5))

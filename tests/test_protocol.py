@@ -135,7 +135,7 @@ class TestRunRound:
         party.embed_and_share(np.arange(24), 4, channel)
         channel.send(GradientDown(1, 4, np.full((24, 6), np.inf)))
         with pytest.raises(ProtocolError,
-                           match="round 4, party 1: the returned gradient is non-finite"):
+                           match="round 4, party 1: non-finite values in the returned gradient"):
             party.receive_and_update(4, channel)
 
     def test_vanilla_gating_equals_manual_clip_noise_pipeline(self):
@@ -243,11 +243,11 @@ class TestTrain:
         assert all(e.test_accuracy is None for e in skipped.epochs)
         assert [e.train_loss for e in evaluated.epochs] == [e.train_loss for e in skipped.epochs]
 
-    # Unprotected identity nets blow up: at lr 10 the head loss goes
+    # Unprotected identity nets blow up: at lr 10 the head logits go
     # non-finite first, at lr 1e6 the extractor output.
     @pytest.mark.parametrize("lr, where", [
-        (10.0, r"epoch \d+, round \d+, the active party: the head loss is non-finite"),
-        (1e6, r"epoch \d+, round \d+, party 0: the extractor output is non-finite"),
+        (10.0, r"epoch \d+, round \d+, the active party: non-finite values in the head logits"),
+        (1e6, r"epoch \d+, round \d+, party 0: non-finite values in the extractor output"),
     ])
     def test_divergence_names_epoch_round_and_party(self, lr, where):
         cfg, data, parties = build_run(**{
