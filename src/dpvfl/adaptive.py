@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArgumentError, InsufficientRetainedError
-from .numerics import Rng, as_matrix, erf_inv, pair_indices, pairwise_distances
+from .numerics import Rng, as_matrix, erf_inv, normal_cdf, pair_indices, pairwise_distances
 
 logger = logging.getLogger(__name__)
 
@@ -200,9 +200,7 @@ def histogram_kl_to_gaussian(distances, bins: int = 16) -> float:
     mu = float(d.mean())
     counts, edges = np.histogram(d, bins=bins)
     p = counts / counts.sum()
-    z = (edges - mu) / (sigma * math.sqrt(2.0))
-    cdf = 0.5 * (1.0 + np.vectorize(math.erf)(z))
-    q = np.maximum(np.diff(cdf), 1e-12)
+    q = np.maximum(np.diff(normal_cdf((edges - mu) / sigma)), 1e-12)
     mask = p > 0
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 

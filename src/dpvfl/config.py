@@ -8,50 +8,10 @@ dotted path, which the CLI maps to exit code 2.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-
-_ALLOWED = {
-    "": {"seed", "out_dir", "dataset", "model", "training", "privacy",
-         "adaptive", "evaluation", "attack", "ablate", "timing"},
-    "dataset": {"kind", "classes", "per_class", "dim", "spread", "parties",
-                "test_fraction", "path", "columns", "ranges", "images",
-                "labels", "halves", "limit"},
-    "dataset.columns": {"name", "kind"},
-    "model": {"embedding_dim", "extractor_hidden", "head_hidden", "activation"},
-    "training": {"learning_rate", "batch_size", "epochs", "weight_decay",
-                 "alpha", "beta"},
-    "privacy": {"enabled", "epsilon", "delta", "clip_threshold", "p1",
-                "allow_large_epsilon", "sigma_override"},
-    "adaptive": {"rescale", "dist_adjust", "p2", "confidence_threshold",
-                 "fuzzifier", "fcm_max_iter", "fcm_tol", "kl_diagnostic"},
-    "evaluation": {"with_noise", "repeats"},
-    "attack": {"decoder_epochs", "decoder_lr", "decoder_hidden", "shadows",
-               "shadow_epochs", "eval_per_side", "attack_epochs", "attack_lr",
-               "attack_hidden", "level", "target_party", "trials"},
-    "ablate": {"seeds"},
-    "timing": {"rounds", "batch_size"},
-}
-
-
-def _check_keys(obj, path: str):
-    if not isinstance(obj, dict):
-        return
-    allowed = _ALLOWED.get(path)
-    if allowed is None:
-        return
-    for key, value in obj.items():
-        if key not in allowed:
-            dotted = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown config key: {dotted}")
-        child = f"{path}.{key}" if path else key
-        if isinstance(value, dict):
-            _check_keys(value, child)
-        elif isinstance(value, list) and child in _ALLOWED:
-            for item in value:
-                _check_keys(item, child)
 
 
 @dataclass
@@ -181,6 +141,32 @@ _SECTIONS = {
     "ablate": AblateConfig,
     "timing": TimingConfig,
 }
+
+# Each section accepts exactly its dataclass's fields; the column entries
+# of a CSV dataset are plain dicts with no dataclass of their own.
+_ALLOWED = {
+    "": {f.name for f in fields(ExperimentConfig)},
+    **{name: {f.name for f in fields(section)} for name, section in _SECTIONS.items()},
+    "dataset.columns": {"name", "kind"},
+}
+
+
+def _check_keys(obj, path: str):
+    if not isinstance(obj, dict):
+        return
+    allowed = _ALLOWED.get(path)
+    if allowed is None:
+        return
+    for key, value in obj.items():
+        if key not in allowed:
+            dotted = f"{path}.{key}" if path else key
+            raise ConfigError(f"unknown config key: {dotted}")
+        child = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            _check_keys(value, child)
+        elif isinstance(value, list) and child in _ALLOWED:
+            for item in value:
+                _check_keys(item, child)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

@@ -227,18 +227,26 @@ class FeatureEncoder:
         return np.hstack(blocks), labels, tuple(names)
 
 
-def encode_csv_dataset(raw: RawColumns, test_fraction: float, seed: int) -> tuple[Table, Table]:
-    """Seeded shuffle-split, then encode both splits with train-fitted statistics."""
+def _split_rows(n_rows: int, test_fraction: float, seed: int, tag: str):
+    """Seeded shuffle of the row indices into (train rows, test rows).
+
+    ``tag`` names the RNG stream, so each kind of split keeps its own.
+    """
     if not 0.0 < test_fraction < 1.0:
         raise ArgumentError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    order = Rng(seed).split("csv-split").permutation(raw.n_rows)
-    n_test = max(1, int(round(raw.n_rows * test_fraction)))
-    if n_test >= raw.n_rows:
+    order = Rng(seed).split(tag).permutation(n_rows)
+    n_test = max(1, int(round(n_rows * test_fraction)))
+    if n_test >= n_rows:
         raise ArgumentError("test fraction leaves no training rows")
-    test_rows, train_rows = order[:n_test], order[n_test:]
+    return order[n_test:], order[:n_test]
+
+
+def encode_csv_dataset(raw: RawColumns, test_fraction: float, seed: int) -> tuple[Table, Table]:
+    """Seeded shuffle-split, then encode both splits with train-fitted statistics."""
+    train_rows, test_rows = _split_rows(raw.n_rows, test_fraction, seed, "csv-split")
     encoder = FeatureEncoder(schema=raw.schema).fit(raw, train_rows)
     tables = []
-    for rows, _tag in ((train_rows, "train"), (test_rows, "test")):
+    for rows in (train_rows, test_rows):
         features, labels, names = encoder.transform(raw, rows)
         tables.append(Table(
             features=features,
@@ -311,14 +319,8 @@ def load_idx(images_path, labels_path) -> Table:
 
 def split_table(table: Table, test_fraction: float, seed: int) -> tuple[Table, Table]:
     """Seeded disjoint train/test row split of an already-encoded table."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ArgumentError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    order = Rng(seed).split("table-split").permutation(table.n_rows)
-    n_test = max(1, int(round(table.n_rows * test_fraction)))
-    if n_test >= table.n_rows:
-        raise ArgumentError("test fraction leaves no training rows")
     pieces = []
-    for rows in (order[n_test:], order[:n_test]):
+    for rows in _split_rows(table.n_rows, test_fraction, seed, "table-split"):
         pieces.append(Table(
             features=table.features[rows],
             labels=table.labels[rows],

@@ -17,13 +17,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError
-from .numerics import Rng, as_matrix, gaussian_sample
+from .numerics import Rng, as_matrix, normal_cdf
 
 logger = logging.getLogger(__name__)
 
 # The estimated sensitivity of a clipped batch is exactly twice the clip
 # threshold: two rows inside the t-ball are at most 2t apart.
 SENSITIVITY_FACTOR = 2.0
+
+
+def _classic_sigma(epsilon: float, delta: float) -> float:
+    return math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
 def calibrate_sigma(epsilon: float, delta: float) -> float:
@@ -37,7 +41,7 @@ def calibrate_sigma(epsilon: float, delta: float) -> float:
         raise ArgumentError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ArgumentError(f"delta must lie in (0, 1), got {delta}")
-    return math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
+    return _classic_sigma(epsilon, delta)
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,7 @@ class PrivacyParams:
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ArgumentError(f"{name} must lie in (0, 1], got {value}")
-        minimal = math.sqrt(2.0 * math.log(1.25 / self.delta)) / self.epsilon
+        minimal = _classic_sigma(self.epsilon, self.delta)
         if self.sigma < minimal - 1e-12:
             raise ArgumentError(
                 f"sigma={self.sigma} below the minimal compliant value {minimal:.6f}"
@@ -90,7 +94,10 @@ class PrivacyParams:
         sigma: float | None = None,
         allow_large_epsilon: bool = False,
     ) -> "PrivacyParams":
-        """Build a record with sigma defaulted to the minimal compliant value."""
+        """Build a record with sigma defaulted to the minimal compliant value.
+
+        A ``sigma`` below that value is refused by the record's own check.
+        """
         if epsilon >= 1.0:
             if not allow_large_epsilon:
                 raise ArgumentError(
@@ -101,21 +108,16 @@ class PrivacyParams:
                 "epsilon=%s is outside the calibrated domain (0, 1); "
                 "extending the noise formula anyway", epsilon,
             )
-            minimal = math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
+            minimal = _classic_sigma(epsilon, delta)
         else:
             minimal = calibrate_sigma(epsilon, delta)
-        resolved = minimal if sigma is None else float(sigma)
-        if resolved < minimal - 1e-12:
-            raise ArgumentError(
-                f"sigma={resolved} below the minimal compliant value {minimal:.6f}"
-            )
         return cls(
             epsilon=float(epsilon),
             delta=float(delta),
             clip_threshold=float(clip_threshold),
             p1=float(p1),
             p2=float(p2),
-            sigma=resolved,
+            sigma=minimal if sigma is None else float(sigma),
             delta_prime=float(delta) / (float(p1) * float(p2)),
         )
 
@@ -195,12 +197,9 @@ def add_noise(
     std = multiplier * SENSITIVITY_FACTOR * params.clip_threshold
     if std == 0.0:
         return b.copy()
-    return b + gaussian_sample(rng, 0.0, std, b.shape)
-
-
-def _phi(z: np.ndarray) -> np.ndarray:
-    """Standard normal CDF via the closed-form erf."""
-    return 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
+    if b.size == 0:
+        raise ArgumentError(f"shape must be positive, got {b.shape}")
+    return b + rng.normal(0.0, std, b.shape)
 
 
 @dataclass(frozen=True)
@@ -257,8 +256,8 @@ def mechanism_ratio_check(
         p0 = (grid >= x0).astype(float)
         p1 = (grid >= x1).astype(float)
     else:
-        p0 = _phi((grid - x0) / noise_std)
-        p1 = _phi((grid - x1) / noise_std)
+        p0 = normal_cdf((grid - x0) / noise_std)
+        p1 = normal_cdf((grid - x1) / noise_std)
 
     factor = math.exp(eps)
     margins = np.concatenate([p0 - (factor * p1 + delta), p1 - (factor * p0 + delta)])

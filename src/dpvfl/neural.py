@@ -103,9 +103,6 @@ class DenseNet:
     def dims(self) -> list[int]:
         return [self.input_dim] + [layer.weights.shape[1] for layer in self.layers]
 
-    def parameter_count(self) -> int:
-        return sum(l.weights.size + l.bias.size for l in self.layers)
-
     def copy(self) -> "DenseNet":
         return DenseNet([
             Layer(l.weights.copy(), l.bias.copy(), l.activation) for l in self.layers

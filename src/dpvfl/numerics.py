@@ -18,11 +18,10 @@ from .errors import ArgumentError
 
 __all__ = [
     "Rng",
-    "gaussian_sample",
     "erf_inv",
+    "normal_cdf",
     "pair_indices",
     "pairwise_distances",
-    "pca2",
     "as_matrix",
 ]
 
@@ -91,22 +90,6 @@ class Rng:
         return self._gen.uniform(low, high, size=size)
 
 
-def gaussian_sample(rng: Rng, mean: float, std: float, shape: tuple[int, int]) -> np.ndarray:
-    """Sample an i.i.d. normal matrix; ``std == 0`` returns the constant matrix.
-
-    Reproducible: the same ``(seed, path)`` stream and arguments yield the
-    identical matrix on every platform.
-    """
-    if std < 0:
-        raise ArgumentError(f"std must be non-negative, got {std}")
-    rows, cols = int(shape[0]), int(shape[1])
-    if rows <= 0 or cols <= 0:
-        raise ArgumentError(f"shape must be positive, got {(rows, cols)}")
-    if std == 0:
-        return np.full((rows, cols), float(mean))
-    return rng.normal(float(mean), float(std), (rows, cols))
-
-
 # Rational approximation of the standard normal quantile (lower-tail /
 # central / upper-tail branches, max relative error about 1.15e-9), refined
 # below by a single Newton step on erf. This keeps quantile values stable
@@ -164,6 +147,11 @@ def erf_inv(p: float) -> float:
     return math.copysign(x, p)
 
 
+def normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise, via the closed-form ``math.erf``."""
+    return 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
+
+
 # One entry: rounds and evaluation batches reuse a single batch size, and
 # caching every size seen (ragged last batches, attack queries) only grows
 # memory.
@@ -192,64 +180,3 @@ def pairwise_distances(batch) -> np.ndarray:
     diff = b[k_idx]
     diff -= b[j_idx]
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
-def _power_iteration(cov: np.ndarray, max_iter: int = 10_000, tol: float = 1e-13):
-    """Dominant eigenpair of a symmetric PSD matrix; zero matrix -> (0, zeros)."""
-    d = cov.shape[0]
-    v = np.ones(d) / math.sqrt(d)
-    eigval = 0.0
-    for _ in range(max_iter):
-        w = cov @ v
-        norm = float(np.linalg.norm(w))
-        if norm < 1e-300:
-            return 0.0, np.zeros(d)
-        w /= norm
-        eigval = float(w @ cov @ w)
-        if float(np.linalg.norm(w - v)) < tol or float(np.linalg.norm(w + v)) < tol:
-            v = w
-            break
-        v = w
-    if eigval <= 0.0:
-        return 0.0, np.zeros(d)
-    # Fix the sign by making the largest-magnitude loading positive.
-    pivot = int(np.argmax(np.abs(v)))
-    if v[pivot] < 0:
-        v = -v
-    return eigval, v
-
-
-def pca2(batch) -> np.ndarray:
-    """Project onto the top-2 principal components (power iteration + deflation).
-
-    Diagnostic helper; component signs are fixed by making each component's
-    largest-magnitude loading positive. A zero-variance batch projects to
-    all zeros, and rank-1 data leaves the second column at zero.
-    """
-    b = as_matrix(batch, "batch")
-    n = b.shape[0]
-    if n < 2:
-        raise ArgumentError(f"pca2 needs at least 2 rows, got {n}")
-    centered = b - b.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
-    lam1, v1 = _power_iteration(cov)
-    deflated = cov - lam1 * np.outer(v1, v1)
-    lam2, v2 = _power_iteration(deflated)
-    # The deflated residual of (near-)rank-1 data is numerical noise; snap
-    # the second component to zero instead of amplifying that noise.
-    if lam2 <= lam1 * 1e-10:
-        v2 = np.zeros_like(v2)
-    out = np.empty((n, 2))
-    out[:, 0] = centered @ v1
-    out[:, 1] = centered @ v2
-    return out
-
-
-def pca2_captured_variance(batch) -> float:
-    """Sum of the top-2 eigenvalues recovered by the power iteration."""
-    b = as_matrix(batch, "batch")
-    centered = b - b.mean(axis=0)
-    cov = centered.T @ centered / (b.shape[0] - 1)
-    lam1, v1 = _power_iteration(cov)
-    lam2, _ = _power_iteration(cov - lam1 * np.outer(v1, v1))
-    return lam1 + lam2

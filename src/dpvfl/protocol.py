@@ -226,7 +226,6 @@ class PassiveParty:
         self._noise_rng = root.split("noise", self.party_id)
         self._fcm_rng = root.split("fcm", self.party_id)
         self._trace: ReleaseTrace | None = None
-        self.round_index = -1
 
     @property
     def protected(self) -> bool:
@@ -236,8 +235,7 @@ class PassiveParty:
     def embedding_dim(self) -> int:
         return self.extractor.output_dim
 
-    def begin_round(self, round_index: int) -> None:
-        self.round_index = round_index
+    def begin_round(self) -> None:
         self._trace = None
 
     def compute_release(
@@ -453,7 +451,7 @@ def run_round(
     """One full communication round over an aligned mini-batch."""
     channel = channel if channel is not None else MessageChannel()
     for party in parties.passives:
-        party.begin_round(batch_index)
+        party.begin_round()
     for party in parties.passives:
         party.embed_and_share(indices, batch_index, channel, timer)
     loss, accuracy = parties.active.aggregate_and_step(

@@ -46,6 +46,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config key: training.momentum"):
             parse_config(tiny_raw(**{"training.momentum": 0.9}))
 
+    # With the two tests above (dataset, training) this covers every key set.
+    @pytest.mark.parametrize("section", [
+        "", "model", "privacy", "adaptive", "evaluation", "attack", "ablate", "timing",
+    ])
+    def test_unknown_key_named_in_every_section(self, section):
+        dotted = f"{section}.blobs" if section else "blobs"
+        with pytest.raises(ConfigError, match=f"unknown config key: {dotted}$"):
+            parse_config(tiny_raw(**{dotted: 3}))
+
+    def test_unknown_column_key_named(self):
+        raw = tiny_raw(**{"dataset.columns": [{"name": "a", "kind": "numeric", "unit": "m"}]})
+        with pytest.raises(ConfigError, match="unknown config key: dataset.columns.unit"):
+            parse_config(raw)
+
     def test_round_trips_through_json(self, tmp_path):
         cfg = parse_config(tiny_raw())
         path = tmp_path / "cfg.json"

@@ -156,6 +156,14 @@ class TestAddNoise:
         b = add_noise(batch, p, Rng(9).split("noise", 0))
         npt.assert_array_equal(a, b)
 
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(ArgumentError, match="sigma must be non-negative"):
+            add_noise(np.ones((2, 2)), params_for(), Rng(0), sigma=-1.0)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ArgumentError, match="shape must be positive"):
+            add_noise(np.empty((0, 3)), params_for(), Rng(0))
+
 
 class TestMechanismRatioCheck:
     GRID = [(e, d) for e in (0.2, 0.5, 0.9) for d in (1e-2, 1e-4)]

@@ -10,10 +10,7 @@ from dpvfl.errors import ArgumentError
 from dpvfl.numerics import (
     Rng,
     erf_inv,
-    gaussian_sample,
     pairwise_distances,
-    pca2,
-    pca2_captured_variance,
 )
 
 from conftest import erf_inv_bisect
@@ -51,30 +48,6 @@ class TestRng:
             Rng(-1)
         with pytest.raises(ArgumentError):
             Rng(0).split(-3)
-
-
-class TestGaussianSample:
-    def test_zero_std_constant(self):
-        out = gaussian_sample(Rng(1), 0.0, 0.0, (2, 2))
-        npt.assert_array_equal(out, np.zeros((2, 2)))
-
-    def test_standard_normal_moments(self):
-        out = gaussian_sample(Rng(1), 0.0, 1.0, (1, 10_000))
-        assert abs(out.mean()) < 0.05
-        assert abs(out.std() - 1.0) < 0.05
-
-    def test_shifted_mean(self):
-        out = gaussian_sample(Rng(7), 5.0, 2.0, (1, 10_000))
-        assert abs(out.mean() - 5.0) < 0.1
-
-    def test_reproducible(self):
-        a = gaussian_sample(Rng(42).split("x"), 1.0, 3.0, (5, 7))
-        b = gaussian_sample(Rng(42).split("x"), 1.0, 3.0, (5, 7))
-        npt.assert_array_equal(a, b)
-
-    def test_negative_std_rejected(self):
-        with pytest.raises(ArgumentError):
-            gaussian_sample(Rng(0), 0.0, -1.0, (2, 2))
 
 
 class TestErfInv:
@@ -150,41 +123,3 @@ class TestPairwiseDistances:
         assert c <= a + b + 1e-12
         flipped = pairwise_distances(batch[::-1])
         npt.assert_allclose(np.sort(flipped), np.sort([a, b, c]), atol=1e-12)
-
-
-class TestPca2:
-    def test_axis_aligned_2d(self):
-        # Build columns with exactly zero sample covariance so the principal
-        # axes are the standard basis, var(x) > var(y).
-        rng = Rng(11)
-        a = rng.normal(0, 1.0, (40,))
-        b = rng.normal(0, 1.0, (40,))
-        a -= a.mean()
-        b -= b.mean()
-        b -= (b @ a) / (a @ a) * a
-        x = np.column_stack([5.0 * a, 0.5 * b])
-        proj = pca2(x)
-        centered = x - x.mean(axis=0)
-        for col in range(2):
-            match = min(
-                np.abs(proj[:, col] - centered[:, col]).max(),
-                np.abs(proj[:, col] + centered[:, col]).max(),
-            )
-            assert match < 1e-8
-
-    def test_rank_one_second_component_zero(self):
-        direction = np.array([1.0, 2.0, -1.0])
-        coeffs = np.linspace(-1, 1, 12)[:, None]
-        proj = pca2(coeffs * direction)
-        assert np.abs(proj[:, 1]).max() < 1e-8
-
-    def test_zero_variance_all_zeros(self):
-        proj = pca2(np.ones((6, 3)))
-        npt.assert_array_equal(proj, np.zeros((6, 2)))
-
-    def test_captured_variance_matches_eigh(self):
-        x = Rng(19).normal(0, 1, (20, 5))
-        centered = x - x.mean(axis=0)
-        eigvals = np.linalg.eigvalsh(centered.T @ centered / 19)
-        expected = eigvals[-1] + eigvals[-2]
-        assert abs(pca2_captured_variance(x) - expected) < 1e-6

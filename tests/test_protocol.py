@@ -131,7 +131,7 @@ class TestRunRound:
         cfg, data, parties = build_run()
         party = parties.passives[1]
         channel = MessageChannel()
-        party.begin_round(4)
+        party.begin_round()
         party.embed_and_share(np.arange(24), 4, channel)
         channel.send(GradientDown(1, 4, np.full((24, 6), np.inf)))
         with pytest.raises(ProtocolError,
@@ -161,7 +161,7 @@ class TestRunRound:
         cfg, data, parties = build_run()
         indices = sample_aligned_batch(data.train.n_rows, 24, Rng(4))
         party = parties.passives[0]
-        party.begin_round(0)
+        party.begin_round()
         channel = MessageChannel()
         party.embed_and_share(indices, 0, channel)
         trace = party._trace
