@@ -287,6 +287,12 @@ def fcm(
     memberships (ties -> lowest id) and confidence is the max membership.
     Centers start at ``n_clusters`` distinct sampled rows; if the batch has
     fewer distinct rows than clusters the result is flagged degenerate.
+
+    Beyond about 2^±500 squared distances overflow or underflow and the
+    memberships become 0/0, so a batch whose largest entry lies there is
+    clustered as its copy scaled by a power of two into [0.5, 1), with
+    ``tol`` scaled alike, and its centers are scaled back. The scaling is
+    exact; ``objective_trace`` then holds the scaled copy's objective.
     """
     p = as_matrix(points, "points")
     n = p.shape[0]
@@ -298,6 +304,13 @@ def fcm(
         raise ArgumentError(f"{n} rows cannot form {n_clusters} clusters")
     if rng is None:
         rng = Rng(0)
+    largest = float(np.abs(p).max())
+    if largest > 2.0**500 or 0.0 < largest < 2.0**-500:
+        unit = math.ldexp(1.0, math.frexp(largest)[1])
+        assignment, centers = fcm(
+            p / unit, n_clusters, fuzzifier, max_iter, tol / unit, rng, objective_trace
+        )
+        return assignment, centers * unit
 
     unique_rows = np.unique(p, axis=0)
     degenerate = unique_rows.shape[0] < n_clusters

@@ -410,6 +410,28 @@ class TestFcm:
         assert len(trace) >= 2
         assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
 
+    def test_huge_batch_memberships_stay_finite(self):
+        # Squared distances of entries near 1e170 overflow to inf; unscaled,
+        # the memberships of every row were 0/0.
+        points = Rng(1).normal(0, 1, (20, 4))
+        assignment, centers = fcm(points * 1e170, 2)
+        assert np.all(np.isfinite(assignment.memberships))
+        assert np.all(np.isfinite(assignment.confidences))
+        assert np.all(np.isfinite(centers))
+        plain, _ = fcm(points, 2)
+        assert np.array_equal(assignment.cluster_ids, plain.cluster_ids)
+
+    @pytest.mark.parametrize("shift", [700, -700, 1000, -1000])
+    def test_power_of_two_scaling_is_exact(self, shift):
+        # x * 2^shift with tolerance tol is the same problem as x with
+        # tolerance tol * 2^-shift, and the scaling keeps it bit for bit.
+        points = Rng(1).normal(0, 1, (20, 4))
+        far, far_centers = fcm(points * 2.0**shift, 2, tol=1e-5, rng=Rng(3))
+        near, near_centers = fcm(points, 2, tol=1e-5 * 2.0**-shift, rng=Rng(3))
+        assert np.array_equal(far.memberships, near.memberships)
+        assert np.array_equal(far.cluster_ids, near.cluster_ids)
+        assert np.array_equal(far_centers, near_centers * 2.0**shift)
+
     def test_validation(self):
         points = Rng(7).normal(0, 1, (5, 2))
         with pytest.raises(ArgumentError):
