@@ -24,6 +24,8 @@ from . import runs
 
 OUT_ROOT_ENV = "DPVFL_OUT"
 
+logger = logging.getLogger(__name__)
+
 ABLATION_GRID = (
     ("vanilla", False, False),
     ("vanilla+rescale", True, False),
@@ -251,6 +253,12 @@ def main(argv=None) -> int:
         return 2
     except VflError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # Any other failure is a bug, not a bad input: one line on stderr,
+        # the traceback only in the DEBUG log.
+        logger.debug("unexpected failure", exc_info=True)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

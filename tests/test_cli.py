@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dpvfl import cli
 from dpvfl.cli import main
 
 
@@ -201,3 +202,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["train"])  # --config is required
         assert excinfo.value.code == 2
+
+    def test_unexpected_exception_exits_1_with_one_line(self, tmp_path, monkeypatch,
+                                                        capsys, caplog):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "train", broken)
+        cfg = write_config(tmp_path)
+        with caplog.at_level("DEBUG", logger="dpvfl.cli"):
+            assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: RuntimeError: boom\n"
+        assert [r.exc_info[0] for r in caplog.records] == [RuntimeError]
