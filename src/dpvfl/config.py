@@ -14,6 +14,24 @@ from pathlib import Path
 from .errors import ConfigError
 
 
+def _check_keys(obj, path: str):
+    if not isinstance(obj, dict):
+        return
+    allowed = _ALLOWED.get(path)
+    if allowed is None:
+        return
+    for key, value in obj.items():
+        if key not in allowed:
+            dotted = f"{path}.{key}" if path else key
+            raise ConfigError(f"unknown config key: {dotted}")
+        child = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            _check_keys(value, child)
+        elif isinstance(value, list) and child in _ALLOWED:
+            for item in value:
+                _check_keys(item, child)
+
+
 @dataclass
 class DatasetConfig:
     kind: str = "synthetic"
@@ -149,24 +167,6 @@ _ALLOWED = {
     **{name: {f.name for f in fields(section)} for name, section in _SECTIONS.items()},
     "dataset.columns": {"name", "kind"},
 }
-
-
-def _check_keys(obj, path: str):
-    if not isinstance(obj, dict):
-        return
-    allowed = _ALLOWED.get(path)
-    if allowed is None:
-        return
-    for key, value in obj.items():
-        if key not in allowed:
-            dotted = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown config key: {dotted}")
-        child = f"{path}.{key}" if path else key
-        if isinstance(value, dict):
-            _check_keys(value, child)
-        elif isinstance(value, list) and child in _ALLOWED:
-            for item in value:
-                _check_keys(item, child)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
