@@ -1,10 +1,15 @@
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from dpvfl.config import ExperimentConfig, load_config, parse_config
 from dpvfl.errors import ConfigError
+from dpvfl import data as data_module
+from dpvfl import experiment as experiment_module
 from dpvfl import protocol
+from dpvfl.data import ColumnSpec, Table, encode_csv_dataset, load_csv, load_idx, split_table
 from dpvfl.experiment import (
     VflVictim,
     _shadow_run,
@@ -115,6 +120,124 @@ class TestBuilders:
         b = run_training(cfg)
         for ea, eb in zip(a.history.epochs, b.history.epochs):
             assert ea == eb
+
+
+CSV_COLUMNS = [
+    {"name": "age", "kind": "numeric"},
+    {"name": "job", "kind": "categorical"},
+    {"name": "income", "kind": "label"},
+]
+
+
+def write_csv_dataset(tmp_path):
+    jobs = ("clerk", "nurse", "smith")
+    lines = ["age,job,income"] + [
+        f"{20 + 3 * i},{jobs[i % 3]},{'hi' if i % 4 < 2 else 'lo'}" for i in range(32)
+    ]
+    path = tmp_path / "people.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def write_idx_dataset(tmp_path, count=20, rows=4, cols=4):
+    pixels = np.asarray(Rng(8).integers(0, 256, size=count * rows * cols), dtype=np.uint8)
+    labels = np.arange(count, dtype=np.uint8) % 3
+    images = tmp_path / "images.idx"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, count, rows, cols) + pixels.tobytes())
+    label_path = tmp_path / "labels.idx"
+    label_path.write_bytes(struct.pack(">II", 0x00000801, count) + labels.tobytes())
+    return images, label_path
+
+
+def partitioned_tables(monkeypatch) -> dict:
+    """Record the table of each split that build_dataset partitions."""
+    seen = {}
+    original = data_module.partition_vertical
+
+    def spy(table, plan, split="train"):
+        seen[split] = table
+        return original(table, plan, split)
+
+    for module in (data_module, experiment_module):
+        monkeypatch.setattr(module, "partition_vertical", spy, raising=False)
+    return seen
+
+
+class TestFileDatasets:
+    def csv_config(self, path, **dataset):
+        return parse_config(tiny_raw(**{
+            "dataset": {"kind": "csv", "path": str(path), "columns": CSV_COLUMNS,
+                        "test_fraction": 0.25, "parties": 2, **dataset},
+        }))
+
+    def encoded(self, path, cfg):
+        raw = load_csv(path, tuple(ColumnSpec(c["name"], c["kind"]) for c in CSV_COLUMNS))
+        return encode_csv_dataset(raw, cfg.dataset.test_fraction, cfg.seed)
+
+    @pytest.mark.parametrize("limit", [None, 10, 500])
+    def test_csv_split_limit_and_names(self, tmp_path, monkeypatch, limit):
+        path = write_csv_dataset(tmp_path)
+        cfg = self.csv_config(path, limit=limit)
+        train, test = self.encoded(path, cfg)
+        seen = partitioned_tables(monkeypatch)
+        data = build_dataset(cfg)
+        keep = train.n_rows if limit is None else min(limit, train.n_rows)
+        npt.assert_array_equal(np.hstack(data.train.party_features), train.features[:keep])
+        npt.assert_array_equal(data.train.labels, train.labels[:keep])
+        npt.assert_array_equal(data.train.sample_ids, train.sample_ids[:keep])
+        # The limit trims the training split only.
+        npt.assert_array_equal(np.hstack(data.test.party_features), test.features)
+        npt.assert_array_equal(data.test.sample_ids, test.sample_ids)
+        assert data.train.n_classes == data.test.n_classes == 2
+        assert seen["train"].feature_names == train.feature_names
+        assert train.feature_names == ("age", "job=clerk", "job=nurse", "job=smith")
+
+    def test_csv_column_ranges(self, tmp_path):
+        path = write_csv_dataset(tmp_path)
+        cfg = self.csv_config(path, ranges=[[0, 1], [1, 4]], limit=10)
+        train, test = self.encoded(path, cfg)
+        data = build_dataset(cfg)
+        npt.assert_array_equal(data.train.party_features[0], train.features[:10, :1])
+        npt.assert_array_equal(data.train.party_features[1], train.features[:10, 1:])
+        npt.assert_array_equal(data.test.party_features[1], test.features[:, 1:])
+
+    def test_csv_needs_path_and_columns(self):
+        cfg = parse_config(tiny_raw(**{"dataset": {"kind": "csv"}}))
+        with pytest.raises(ConfigError, match="'path' and 'columns'"):
+            build_dataset(cfg)
+
+    @pytest.mark.parametrize("halves", [["left", "right"], ["top", "bottom"]])
+    def test_idx_limit_and_halves(self, tmp_path, monkeypatch, halves):
+        images, labels = write_idx_dataset(tmp_path)
+        cfg = parse_config(tiny_raw(**{
+            "dataset": {"kind": "idx", "images": str(images), "labels": str(labels),
+                        "halves": halves, "limit": 12, "test_fraction": 0.25},
+        }))
+        seen = partitioned_tables(monkeypatch)
+        data = build_dataset(cfg)
+        table = load_idx(images, labels)
+        first = Table(features=table.features[:12], labels=table.labels[:12],
+                      n_classes=table.n_classes, sample_ids=table.sample_ids[:12],
+                      image_shape=table.image_shape)
+        train, test = split_table(first, cfg.dataset.test_fraction, cfg.seed)
+        assert seen["train"].image_shape == seen["test"].image_shape == (4, 4)
+        grid = np.arange(16).reshape(4, 4)
+        first_half = grid[:, :2] if halves[0] == "left" else grid[:2, :]
+        npt.assert_array_equal(data.train.party_features[0], train.features[:, first_half.ravel()])
+        npt.assert_array_equal(data.test.party_features[0], test.features[:, first_half.ravel()])
+        npt.assert_array_equal(data.train.sample_ids, train.sample_ids)
+        assert data.train.n_rows + data.test.n_rows == 12
+        assert data.train.n_classes == 3
+
+    def test_idx_needs_images_and_labels(self):
+        cfg = parse_config(tiny_raw(**{"dataset": {"kind": "idx"}}))
+        with pytest.raises(ConfigError, match="'images' and 'labels'"):
+            build_dataset(cfg)
+
+    def test_unknown_kind(self):
+        cfg = parse_config(tiny_raw(**{"dataset": {"kind": "parquet"}}))
+        with pytest.raises(ConfigError, match="unknown dataset kind 'parquet'"):
+            build_dataset(cfg)
 
 
 def count_evaluations(monkeypatch) -> list:
