@@ -260,16 +260,6 @@ def _memberships(points: np.ndarray, centers: np.ndarray, fuzzifier: float) -> n
     return u
 
 
-def fcm_objective(points, centers, memberships, fuzzifier: float) -> float:
-    """The fuzzy within-cluster objective sum_ij u_ij^m ||x_i - c_j||^2."""
-    p = as_matrix(points, "points")
-    c = as_matrix(centers, "centers")
-    u = np.asarray(memberships, dtype=np.float64)
-    diff = p[:, None, :] - c[None, :, :]
-    sq = np.einsum("ick,ick->ic", diff, diff)
-    return float(np.sum(u**fuzzifier * sq))
-
-
 def fcm(
     points,
     n_clusters: int,
@@ -277,7 +267,6 @@ def fcm(
     max_iter: int = 100,
     tol: float = 1e-5,
     rng: Rng | None = None,
-    objective_trace: list | None = None,
 ) -> tuple[FuzzyAssignment, np.ndarray]:
     """Fuzzy c-means fixed-point iteration.
 
@@ -292,7 +281,7 @@ def fcm(
     memberships become 0/0, so a batch whose largest entry lies there is
     clustered as its copy scaled by a power of two into [0.5, 1), with
     ``tol`` scaled alike, and its centers are scaled back. The scaling is
-    exact; ``objective_trace`` then holds the scaled copy's objective.
+    exact.
     """
     p = as_matrix(points, "points")
     n = p.shape[0]
@@ -308,7 +297,7 @@ def fcm(
     if largest > 2.0**500 or 0.0 < largest < 2.0**-500:
         unit = math.ldexp(1.0, math.frexp(largest)[1])
         assignment, centers = fcm(
-            p / unit, n_clusters, fuzzifier, max_iter, tol / unit, rng, objective_trace
+            p / unit, n_clusters, fuzzifier, max_iter, tol / unit, rng
         )
         return assignment, centers * unit
 
@@ -331,8 +320,6 @@ def fcm(
         movement = float(np.linalg.norm(new_centers - centers, axis=1).max())
         centers = new_centers
         u = _memberships(p, centers, fuzzifier)
-        if objective_trace is not None:
-            objective_trace.append(fcm_objective(p, centers, u, fuzzifier))
         if movement < tol:
             break
 

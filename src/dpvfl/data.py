@@ -412,16 +412,6 @@ def partition_vertical(table: Table, plan, split: str = "train") -> VerticalData
     )
 
 
-def reassemble_columns(dataset: VerticalDataset, plan, n_features: int,
-                       image_shape=None) -> np.ndarray:
-    """Inverse of :func:`partition_vertical` for round-trip checks."""
-    sets = plan.column_sets(n_features, image_shape)
-    out = np.empty((dataset.n_rows, n_features))
-    for cols, feats in zip(sets, dataset.party_features):
-        out[:, cols] = feats
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Synthetic blobs
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from dpvfl.adaptive import (
     estimate_local_sensitivity,
     exact_diameter_estimate,
     fcm,
-    fcm_objective,
     histogram_kl_to_gaussian,
     kl_surrogate_loss,
     purity,
@@ -141,6 +140,13 @@ FCM_SIZES = [4, 60, 100]
 # "signed_zeros" has +0.0 and -0.0 entries in otherwise equal rows, which
 # np.unique treats as duplicates.
 FCM_CASES = ["plain", "duplicates", "signed_zeros"]
+
+
+def fcm_objective(points, centers, memberships, fuzzifier):
+    """The fuzzy within-cluster objective sum_ij u_ij^m ||x_i - c_j||^2."""
+    diff = points[:, None, :] - centers[None, :, :]
+    sq = np.einsum("ick,ick->ic", diff, diff)
+    return float(np.sum(memberships**fuzzifier * sq))
 
 
 def fcm_batch(n, case):
@@ -404,10 +410,13 @@ class TestFcm:
         npt.assert_allclose(assignment.memberships.sum(axis=1), 1.0, atol=1e-9)
 
     def test_objective_non_increasing(self):
+        # fcm(max_iter=k) stops after the k-th update of the same run.
         points = Rng(5).normal(0, 1, (60, 4))
         trace = []
-        fcm(points, 3, rng=Rng(6), objective_trace=trace)
-        assert len(trace) >= 2
+        for k in range(1, 11):
+            assignment, centers = fcm(points, 3, max_iter=k, rng=Rng(6))
+            trace.append(fcm_objective(points, centers, assignment.memberships, 2.0))
+        assert len(set(trace)) >= 2
         assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_huge_batch_memberships_stay_finite(self):

@@ -17,7 +17,6 @@ from dpvfl.data import (
     load_idx,
     make_synthetic,
     partition_vertical,
-    reassemble_columns,
     split_table,
 )
 from dpvfl.errors import ArgumentError, DataFormatError, PartitionPlanError
@@ -140,6 +139,14 @@ class TestLoadIdx:
         lab_path.write_bytes(label_bytes([0, 1]))
         with pytest.raises(DataFormatError, match="payload"):
             load_idx(img_path, lab_path)
+
+
+def reassemble_columns(dataset, plan, n_features, image_shape=None):
+    """Inverse of partition_vertical, for round-trip checks."""
+    out = np.empty((dataset.n_rows, n_features))
+    for cols, feats in zip(plan.column_sets(n_features, image_shape), dataset.party_features):
+        out[:, cols] = feats
+    return out
 
 
 def toy_table(n=8, d=4, seed=0):
