@@ -58,6 +58,23 @@ class Table:
     def n_features(self) -> int:
         return int(self.features.shape[1])
 
+    def take(self, rows) -> "Table":
+        """The given rows, in order, with the column metadata kept."""
+        return Table(
+            features=self.features[rows],
+            labels=self.labels[rows],
+            n_classes=self.n_classes,
+            sample_ids=self.sample_ids[rows],
+            feature_names=self.feature_names,
+            image_shape=self.image_shape,
+        )
+
+    def head(self, limit: int | None) -> "Table":
+        """The first ``limit`` rows; the table itself when it is no longer."""
+        if limit is None or self.n_rows <= limit:
+            return self
+        return self.take(np.arange(limit))
+
 
 @dataclass
 class VerticalDataset:
@@ -89,6 +106,16 @@ class VerticalDataset:
 
     def party_batch(self, party_id: int, indices) -> np.ndarray:
         return self.party_features[party_id][indices]
+
+    def take(self, rows, split: str) -> "VerticalDataset":
+        """The given rows of every party, labelled as ``split``."""
+        return VerticalDataset(
+            party_features=tuple(f[rows] for f in self.party_features),
+            labels=self.labels[rows],
+            n_classes=self.n_classes,
+            sample_ids=self.sample_ids[rows],
+            split=split,
+        )
 
 
 @dataclass(frozen=True)
@@ -319,17 +346,8 @@ def load_idx(images_path, labels_path) -> Table:
 
 def split_table(table: Table, test_fraction: float, seed: int) -> tuple[Table, Table]:
     """Seeded disjoint train/test row split of an already-encoded table."""
-    pieces = []
-    for rows in _split_rows(table.n_rows, test_fraction, seed, "table-split"):
-        pieces.append(Table(
-            features=table.features[rows],
-            labels=table.labels[rows],
-            n_classes=table.n_classes,
-            sample_ids=table.sample_ids[rows],
-            feature_names=table.feature_names,
-            image_shape=table.image_shape,
-        ))
-    return pieces[0], pieces[1]
+    train_rows, test_rows = _split_rows(table.n_rows, test_fraction, seed, "table-split")
+    return table.take(train_rows), table.take(test_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +430,14 @@ def partition_vertical(table: Table, plan, split: str = "train") -> VerticalData
     )
 
 
+def partition_splits(train: Table, test: Table, plan) -> DatasetSplits:
+    """Partition both splits by the same plan."""
+    return DatasetSplits(
+        train=partition_vertical(train, plan, "train"),
+        test=partition_vertical(test, plan, "test"),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Synthetic blobs
 # ---------------------------------------------------------------------------
@@ -453,8 +479,4 @@ def make_synthetic(spec: SyntheticSpec) -> DatasetSplits:
         sample_ids=np.arange(n, dtype=np.int64),
     )
     train, test = split_table(table, spec.test_fraction, spec.seed)
-    plan = even_column_plan(spec.dim, spec.parties)
-    return DatasetSplits(
-        train=partition_vertical(train, plan, split="train"),
-        test=partition_vertical(test, plan, split="test"),
-    )
+    return partition_splits(train, test, even_column_plan(spec.dim, spec.parties))

@@ -3,7 +3,7 @@ runs, and victim access wrappers for the attack harness."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -19,13 +19,13 @@ from .data import (
     load_csv,
     load_idx,
     make_synthetic,
-    partition_vertical,
+    partition_splits,
     split_table,
     SyntheticSpec,
 )
 from .errors import ConfigError
 from .mechanism import PrivacyParams
-from .neural import DenseNet, TrainingConfig
+from .neural import DenseNet, TrainingConfig, softmax
 from .numerics import Rng
 from .protocol import (
     ActiveParty,
@@ -52,87 +52,33 @@ def build_dataset(cfg: ExperimentConfig, seed: int | None = None) -> DatasetSpli
             parties=1 if ds.ranges else ds.parties,
             test_fraction=ds.test_fraction,
         ))
-        if ds.ranges:
-            plan = ColumnRangePlan(tuple((int(a), int(b)) for a, b in ds.ranges))
-            splits = DatasetSplits(
-                train=_repartition(splits.train, plan),
-                test=_repartition(splits.test, plan),
-            )
-        return splits
-    if ds.kind == "csv":
+        if not ds.ranges:
+            return splits
+        train_table, test_table = (
+            Table(split.party_features[0], split.labels, split.n_classes, split.sample_ids)
+            for split in (splits.train, splits.test)
+        )
+    elif ds.kind == "csv":
         if not ds.path or not ds.columns:
             raise ConfigError("csv dataset needs 'path' and 'columns'")
         schema = tuple(ColumnSpec(c["name"], c["kind"]) for c in ds.columns)
         raw = load_csv(ds.path, schema)
         train_table, test_table = encode_csv_dataset(raw, ds.test_fraction, seed)
-        train_table, test_table = _limit(train_table, test_table, ds.limit)
-        plan = _plan_for(ds, train_table)
-        return DatasetSplits(
-            train=partition_vertical(train_table, plan, "train"),
-            test=partition_vertical(test_table, plan, "test"),
-        )
-    if ds.kind == "idx":
+        train_table = train_table.head(ds.limit)
+    elif ds.kind == "idx":
         if not ds.images or not ds.labels:
             raise ConfigError("idx dataset needs 'images' and 'labels'")
-        table = load_idx(ds.images, ds.labels)
-        if ds.limit is not None and table.n_rows > ds.limit:
-            keep = np.arange(ds.limit)
-            table = Table(
-                features=table.features[keep], labels=table.labels[keep],
-                n_classes=table.n_classes, sample_ids=table.sample_ids[keep],
-                image_shape=table.image_shape,
-            )
+        table = load_idx(ds.images, ds.labels).head(ds.limit)
         train_table, test_table = split_table(table, ds.test_fraction, seed)
-        plan = _plan_for(ds, train_table)
-        return DatasetSplits(
-            train=partition_vertical(train_table, plan, "train"),
-            test=partition_vertical(test_table, plan, "test"),
-        )
-    raise ConfigError(f"unknown dataset kind {ds.kind!r}")
-
-
-def _repartition(split, plan):
-    """Re-slice a single-party split by an explicit column plan."""
-    table = Table(
-        features=split.party_features[0],
-        labels=split.labels,
-        n_classes=split.n_classes,
-        sample_ids=split.sample_ids,
-    )
-    return partition_vertical(table, plan, split.split)
-
-
-def _limit(train_table: Table, test_table: Table, limit):
-    if limit is None or train_table.n_rows <= limit:
-        return train_table, test_table
-    keep = np.arange(limit)
-    limited = Table(
-        features=train_table.features[keep], labels=train_table.labels[keep],
-        n_classes=train_table.n_classes, sample_ids=train_table.sample_ids[keep],
-        feature_names=train_table.feature_names, image_shape=train_table.image_shape,
-    )
-    return limited, test_table
-
-
-def _plan_for(ds, table: Table):
+    else:
+        raise ConfigError(f"unknown dataset kind {ds.kind!r}")
     if ds.halves:
-        return ImageHalfPlan(tuple(ds.halves))
-    if ds.ranges:
-        return ColumnRangePlan(tuple((int(a), int(b)) for a, b in ds.ranges))
-    return even_column_plan(table.n_features, ds.parties)
-
-
-def training_config(cfg: ExperimentConfig) -> TrainingConfig:
-    t = cfg.training
-    return TrainingConfig(
-        learning_rate=t.learning_rate,
-        batch_size=t.batch_size,
-        epochs=t.epochs,
-        weight_decay=t.weight_decay,
-        alpha=t.alpha,
-        beta=t.beta,
-        seed=cfg.seed,
-    )
+        plan = ImageHalfPlan(tuple(ds.halves))
+    elif ds.ranges:
+        plan = ColumnRangePlan(tuple((int(a), int(b)) for a, b in ds.ranges))
+    else:
+        plan = even_column_plan(train_table.n_features, ds.parties)
+    return partition_splits(train_table, test_table, plan)
 
 
 def privacy_params(cfg: ExperimentConfig) -> PrivacyParams | None:
@@ -149,21 +95,6 @@ def privacy_params(cfg: ExperimentConfig) -> PrivacyParams | None:
     )
 
 
-def adaptive_config(cfg: ExperimentConfig, n_classes: int) -> AdaptiveConfig:
-    a = cfg.adaptive
-    return AdaptiveConfig(
-        rescale=a.rescale,
-        dist_adjust=a.dist_adjust,
-        p2=a.p2,
-        confidence_threshold=a.confidence_threshold,
-        n_clusters=n_classes,
-        fuzzifier=a.fuzzifier,
-        fcm_max_iter=a.fcm_max_iter,
-        fcm_tol=a.fcm_tol,
-        kl_diagnostic=a.kl_diagnostic,
-    )
-
-
 def build_parties(cfg: ExperimentConfig, data: DatasetSplits, seed: int | None = None) -> Parties:
     """Seeded extractors/head plus per-party privacy and adaptive settings.
 
@@ -171,10 +102,10 @@ def build_parties(cfg: ExperimentConfig, data: DatasetSplits, seed: int | None =
     so its input width is the sum of the per-party embedding dims.
     """
     seed = cfg.seed if seed is None else seed
-    config = replace(training_config(cfg), seed=seed)
+    config = TrainingConfig(seed=seed, **asdict(cfg.training))
     root = Rng(seed)
     privacy = privacy_params(cfg)
-    adaptive = adaptive_config(cfg, data.train.n_classes)
+    adaptive = AdaptiveConfig(n_clusters=data.train.n_classes, **asdict(cfg.adaptive))
     passives = []
     for pid in range(data.train.n_parties):
         dims = (
@@ -275,23 +206,14 @@ class VflVictim:
         self.tag = tag
 
     def release_embeddings(self, party_id: int, x: np.ndarray, rng: Rng) -> np.ndarray:
-        party = self._party(party_id)
-        snap = PassiveParty(
-            party.party_id, party.features, party.extractor.copy(), party.config,
-            privacy=party.privacy, adaptive=party.adaptive,
-            sigma_override=party.sigma_override,
-        )
-        return snap.compute_release(x, rng).released
+        return self._party(party_id).compute_release(x, rng).released
 
     def predict_proba(self, xs_by_party: list[np.ndarray], rng: Rng) -> np.ndarray:
         released = []
         for party, x in zip(self.parties.passives, xs_by_party):
             released.append(self.release_embeddings(party.party_id, x, rng.split(party.party_id)))
         head = self.parties.active.head.copy()
-        logits = head.forward(np.hstack(released))
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        return softmax(head.forward(np.hstack(released)))
 
     def embedding_dim(self, party_id: int) -> int:
         return self._party(party_id).embedding_dim
@@ -326,18 +248,6 @@ def _carve_rows(n_rows: int, pieces: int, rng: Rng) -> list[np.ndarray]:
     return [np.sort(chunk) for chunk in np.array_split(order, pieces)]
 
 
-def _subset(split, rows, tag: str):
-    from .data import VerticalDataset
-
-    return VerticalDataset(
-        party_features=tuple(f[rows] for f in split.party_features),
-        labels=split.labels[rows],
-        n_classes=split.n_classes,
-        sample_ids=split.sample_ids[rows],
-        split=tag,
-    )
-
-
 def _shadow_run(cfg: ExperimentConfig, shadow_index: int, victim_data: DatasetSplits,
                 carve: list[np.ndarray] | None) -> tuple[VflVictim, DatasetSplits]:
     """Train one shadow model on data disjoint from the victim's.
@@ -357,8 +267,8 @@ def _shadow_run(cfg: ExperimentConfig, shadow_index: int, victim_data: DatasetSp
         data = build_dataset(shadow_cfg, shadow_seed)
     else:
         data = DatasetSplits(
-            train=_subset(victim_data.test, carve[2 * shadow_index], "train"),
-            test=_subset(victim_data.test, carve[2 * shadow_index + 1], "test"),
+            train=victim_data.test.take(carve[2 * shadow_index], "train"),
+            test=victim_data.test.take(carve[2 * shadow_index + 1], "test"),
         )
         max_batch = max(2, data.train.n_rows // 2)
         if shadow_cfg.training.batch_size > max_batch:

@@ -52,7 +52,7 @@ class Layer:
     activation: str
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
+def softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -127,7 +127,7 @@ class DenseNet:
             elif layer.activation == "tanh":
                 a = np.tanh(z)
             else:  # softmax
-                a = _softmax(z)
+                a = softmax(z)
         self._cache = (inputs, zs, a)
         return a
 
@@ -176,7 +176,7 @@ def cross_entropy_softmax(logits, labels) -> tuple[float, np.ndarray]:
             f"label out of range [0, {z.shape[1]}): {int(y.min())}..{int(y.max())}"
         )
     n = z.shape[0]
-    p = _softmax(z)
+    p = softmax(z)
     eps = np.finfo(np.float64).tiny
     loss = float(-np.log(np.maximum(p[np.arange(n), y], eps)).mean())
     grad = p.copy()

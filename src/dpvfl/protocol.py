@@ -483,38 +483,39 @@ def evaluate(
     lower-variance estimate of the same deployed quantity. The repeats share
     one pre-noise (forward, clip, rescale) pass per batch and party and only
     redraw the noise, draw ``i`` from ``rng.split("repeat", i)``.
+
+    Evaluation runs the trained extractors themselves, so it refuses to run
+    while a party has a round pending: the forward pass would overwrite the
+    activations that round's update still needs.
     """
     n = dataset.n_rows
     if n == 0:
         raise ArgumentError("cannot evaluate an empty split")
+    for party in parties.passives:
+        if party._trace is not None:
+            raise ProtocolError(
+                f"party {party.party_id} has round {party._trace.batch_index} pending; "
+                "evaluate only between rounds"
+            )
     step = batch_size or parties.active.config.batch_size
     streams = [rng]
     if repeats > 1 and with_noise:
         streams = [rng.split("repeat", i) for i in range(repeats)]
-    # Evaluate on read-only snapshots so a pending round's forward caches
-    # are never disturbed.
-    snapshots = [
-        PassiveParty(
-            party.party_id, party.features, party.extractor.copy(), party.config,
-            privacy=party.privacy, adaptive=party.adaptive,
-            sigma_override=party.sigma_override if with_noise else 0.0,
-        )
-        for party in parties.passives
-    ]
     head = parties.active.head.copy()
     correct = [0] * len(streams)
     for start in range(0, n, step):
         rows = np.arange(start, min(start + step, n))
         released = [[] for _ in streams]
-        for snap in snapshots:
-            x = dataset.party_batch(snap.party_id, rows)
-            trace = snap.compute_release(x, streams[0].split("eval", snap.party_id, start))
-            released[0].append(trace.released)
+        for party in parties.passives:
+            x = dataset.party_batch(party.party_id, rows)
+            trace = party.compute_release(x, streams[0].split("eval", party.party_id, start))
+            # Noise off shows the head the pre-noise batch, as add_noise at sigma 0 would.
+            released[0].append(trace.released if with_noise else trace.adjusted)
             for draws, stream in zip(released[1:], streams[1:]):
-                if snap.protected:
-                    noise_rng = stream.split("eval", snap.party_id, start)
-                    draws.append(add_noise(trace.adjusted, snap.privacy, noise_rng,
-                                           sigma=snap.sigma_override))
+                if party.protected:
+                    noise_rng = stream.split("eval", party.party_id, start)
+                    draws.append(add_noise(trace.adjusted, party.privacy, noise_rng,
+                                           sigma=party.sigma_override))
                 else:
                     draws.append(trace.released)
         for i, draws in enumerate(released):
@@ -556,7 +557,7 @@ def train(
     party. ``on_round`` (epoch, RoundMetrics) and ``timer`` are observers
     for logging and the timing breakdown. ``evaluate_each_epoch=False``
     skips the per-epoch test evaluation and records ``test_accuracy=None``;
-    the trained parties are the same, because evaluation works on copies
+    the trained parties are the same, because evaluation changes no weight
     and only splits RNG streams. A round with a non-finite value in an
     extractor output, the head logits or a returned gradient raises
     ``ProtocolError`` naming the epoch, round and party.

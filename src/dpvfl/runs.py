@@ -52,25 +52,18 @@ def write_config(run_dir: Path, cfg: ExperimentConfig) -> None:
 
 
 def write_epochs_csv(run_dir: Path, history: TrainingHistory) -> Path:
-    path = run_dir / EPOCHS_FILE
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([
-            "epoch", "train_loss", "train_accuracy", "test_accuracy",
-            "mean_delta", "mean_purity",
+    rows = []
+    for em in history.epochs:
+        deltas = list(em.mean_delta.values())
+        purities = list(em.mean_purity.values())
+        rows.append([
+            em.epoch, em.train_loss, em.train_accuracy, em.test_accuracy,
+            sum(deltas) / len(deltas) if deltas else None,
+            sum(purities) / len(purities) if purities else None,
         ])
-        for em in history.epochs:
-            deltas = list(em.mean_delta.values())
-            purities = list(em.mean_purity.values())
-            writer.writerow([
-                em.epoch,
-                _fmt(em.train_loss),
-                _fmt(em.train_accuracy),
-                _fmt(em.test_accuracy),
-                _fmt(sum(deltas) / len(deltas) if deltas else None),
-                _fmt(sum(purities) / len(purities) if purities else None),
-            ])
-    return path
+    return write_table_csv(run_dir / EPOCHS_FILE, [
+        "epoch", "train_loss", "train_accuracy", "test_accuracy", "mean_delta", "mean_purity",
+    ], rows)
 
 
 class EventLog:

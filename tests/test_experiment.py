@@ -282,6 +282,21 @@ class TestVictimAccess:
         assert probs.shape == (10, 2)
         npt.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_queries_leave_the_weights_unchanged(self):
+        result = run_training(parse_config(tiny_raw()))
+        nets = [p.extractor for p in result.parties.passives] + [result.parties.active.head]
+        before = [[(layer.weights.copy(), layer.bias.copy()) for layer in net.layers]
+                  for net in nets]
+        victim = VflVictim(result.parties)
+        xs = [result.data.test.party_features[p][:10] for p in range(2)]
+        first = victim.release_embeddings(0, xs[0], Rng(5))
+        victim.predict_proba(xs, Rng(6))
+        npt.assert_array_equal(victim.release_embeddings(0, xs[0], Rng(5)), first)
+        for net, layers in zip(nets, before):
+            for layer, (weights, bias) in zip(net.layers, layers):
+                npt.assert_array_equal(layer.weights, weights)
+                npt.assert_array_equal(layer.bias, bias)
+
 
 class TestAttackSuite:
     def test_reports_grid_shape(self):

@@ -349,6 +349,33 @@ class TestEvaluate:
         assert batches > 1
         assert len(calls) == batches * len(parties.passives)
 
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_noise_off_equals_zero_sigma_override(self, repeats):
+        cfg, data, parties = build_run()
+        train(parties, data, Rng(0), evaluate_each_epoch=False)
+        _, _, zero = build_run(**{"privacy.sigma_override": 0.0})
+        for party, rebuilt in zip(parties.passives, zero.passives):
+            rebuilt.extractor = party.extractor.copy()
+            x = data.test.party_features[party.party_id]
+            npt.assert_array_equal(party.compute_release(x, Rng(1)).adjusted,
+                                   rebuilt.compute_release(x, Rng(1)).released)
+        zero.active.head = parties.active.head.copy()
+        noise_off = evaluate(parties, data.test, Rng(1), with_noise=False, repeats=repeats)
+        assert noise_off == evaluate(zero, data.test, Rng(1), repeats=repeats)
+
+    def test_refuses_a_pending_round(self):
+        cfg, data, parties = build_run()
+        channel = MessageChannel()
+        indices = np.arange(cfg.training.batch_size)
+        for party in parties.passives:
+            party.embed_and_share(indices, 4, channel)
+        with pytest.raises(ProtocolError, match="party 0 has round 4 pending"):
+            evaluate(parties, data.test, Rng(1))
+        parties.active.aggregate_and_step([0, 1], indices, 4, channel)
+        for party in parties.passives:
+            party.receive_and_update(4, channel)
+        assert 0.0 <= evaluate(parties, data.test, Rng(1)) <= 1.0
+
     def test_party_isolation_invariants(self):
         cfg, data, parties = build_run()
         for party in parties.passives:
