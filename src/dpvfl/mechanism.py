@@ -27,6 +27,8 @@ SENSITIVITY_FACTOR = 2.0
 
 
 def _classic_sigma(epsilon: float, delta: float) -> float:
+    if not 0.0 < delta < 1.0:
+        raise ArgumentError(f"delta must lie in (0, 1), got {delta}")
     return math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
@@ -39,8 +41,6 @@ def calibrate_sigma(epsilon: float, delta: float) -> float:
     """
     if not 0.0 < epsilon < 1.0:
         raise ArgumentError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ArgumentError(f"delta must lie in (0, 1), got {delta}")
     return _classic_sigma(epsilon, delta)
 
 

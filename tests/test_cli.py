@@ -68,6 +68,12 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "training.warmup" in capsys.readouterr().err
 
+    def test_zero_delta_exit_1_names_delta(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"privacy.epsilon": 10.0, "privacy.delta": 0,
+                                        "privacy.allow_large_epsilon": True})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: delta must lie in (0, 1), got 0\n"
+
     def test_seed_and_toggle_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"

@@ -77,6 +77,11 @@ class TestPrivacyParams:
         assert p.epsilon == 2.0
         assert any("outside the calibrated domain" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.5, 1.0, 2.0])
+    def test_large_epsilon_checks_delta_before_sigma(self, delta):
+        with pytest.raises(ArgumentError, match=rf"delta must lie in \(0, 1\), got {delta}$"):
+            params_for(10.0, delta, 1.0, allow_large_epsilon=True)
+
     def test_delta_prime_must_stay_below_one(self):
         with pytest.raises(ArgumentError):
             params_for(0.5, 0.5, 1.0, p1=0.5, p2=0.9)
