@@ -7,7 +7,6 @@ import pytest
 from dpvfl.config import ExperimentConfig, load_config, parse_config
 from dpvfl.errors import ConfigError
 from dpvfl import data as data_module
-from dpvfl import experiment as experiment_module
 from dpvfl import protocol
 from dpvfl.data import ColumnSpec, Table, encode_csv_dataset, load_csv, load_idx, split_table
 from dpvfl.experiment import (
@@ -158,8 +157,7 @@ def partitioned_tables(monkeypatch) -> dict:
         seen[split] = table
         return original(table, plan, split)
 
-    for module in (data_module, experiment_module):
-        monkeypatch.setattr(module, "partition_vertical", spy, raising=False)
+    monkeypatch.setattr(data_module, "partition_vertical", spy)
     return seen
 
 
