@@ -100,6 +100,22 @@ class TestBuilders:
         assert data.train.party_features[0].shape[1] == 4
         assert data.train.party_features[1].shape[1] == 2
 
+    @pytest.mark.parametrize("dataset, widths", [
+        ({"ranges": [[0, 2], [2, 6]]}, [2, 4]),
+        ({"parties": 3}, [2, 2, 2]),
+    ])
+    def test_synthetic_partitions_split_the_same_rows(self, dataset, widths):
+        default = build_dataset(parse_config(tiny_raw()))
+        cfg = parse_config(tiny_raw(**{f"dataset.{k}": v for k, v in dataset.items()}))
+        data = build_dataset(cfg)
+        for split, reference in ((data.train, default.train), (data.test, default.test)):
+            assert [f.shape[1] for f in split.party_features] == widths
+            npt.assert_array_equal(
+                np.hstack(split.party_features), np.hstack(reference.party_features)
+            )
+            npt.assert_array_equal(split.labels, reference.labels)
+            npt.assert_array_equal(split.sample_ids, reference.sample_ids)
+
     def test_unprotected_mode(self):
         cfg = parse_config(tiny_raw(**{
             "privacy.enabled": False,
