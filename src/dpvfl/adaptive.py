@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArgumentError, InsufficientRetainedError
-from .numerics import Rng, as_matrix, erf_inv, normal_cdf, pair_indices, pairwise_distances
+from .numerics import Rng, as_matrix, erf_inv, pair_indices, pairwise_distances
 
 logger = logging.getLogger(__name__)
 
@@ -184,25 +184,6 @@ def kl_surrogate_loss(batch, alpha: float) -> tuple[float, np.ndarray]:
     _unit_rows_in_place(diffs, d)
     diffs *= (alpha * d_grad)[:, None]
     return alpha * value, _scatter_pairs(j_idx, k_idx, diffs, n)
-
-
-def histogram_kl_to_gaussian(distances, bins: int = 16) -> float:
-    """Diagnostic KL divergence between a binned distance sample and its
-    fitted normal. Not differentiable; reported instead of the moment
-    surrogate when configured, never used for gradients.
-    """
-    d = np.asarray(distances, dtype=np.float64)
-    if d.size < 2:
-        raise ArgumentError("histogram KL needs at least 2 distances")
-    sigma = float(d.std(ddof=1))
-    if sigma == 0.0:
-        return 0.0
-    mu = float(d.mean())
-    counts, edges = np.histogram(d, bins=bins)
-    p = counts / counts.sum()
-    q = np.maximum(np.diff(normal_cdf((edges - mu) / sigma)), 1e-12)
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
 # ---------------------------------------------------------------------------

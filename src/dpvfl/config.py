@@ -88,10 +88,6 @@ class AdaptiveSection:
     dist_adjust: bool = True
     p2: float = 0.9987
     confidence_threshold: float = 0.8
-    fuzzifier: float = 2.0
-    fcm_max_iter: int = 100
-    fcm_tol: float = 1e-5
-    kl_diagnostic: str = "moment"
 
 
 @dataclass

@@ -451,7 +451,6 @@ class SyntheticSpec:
     dim: int
     spread: float
     seed: int
-    parties: int = 2
     test_fraction: float = 0.2
 
     def __post_init__(self):
@@ -465,8 +464,8 @@ class SyntheticSpec:
             raise ArgumentError("spread must be non-negative")
 
 
-def make_synthetic(spec: SyntheticSpec) -> DatasetSplits:
-    """Seeded blobs, split 80/20 (or per spec) and evenly partitioned."""
+def make_synthetic(spec: SyntheticSpec) -> tuple[Table, Table]:
+    """Seeded blobs, split 80/20 (or per spec) into (train, test) tables."""
     rng = Rng(spec.seed).split("synthetic")
     n = spec.n_classes * spec.per_class
     features = rng.normal(0.0, 1.0, (n, spec.dim)) * spec.spread
@@ -478,5 +477,4 @@ def make_synthetic(spec: SyntheticSpec) -> DatasetSplits:
         n_classes=spec.n_classes,
         sample_ids=np.arange(n, dtype=np.int64),
     )
-    train, test = split_table(table, spec.test_fraction, spec.seed)
-    return partition_splits(train, test, even_column_plan(spec.dim, spec.parties))
+    return split_table(table, spec.test_fraction, spec.seed)

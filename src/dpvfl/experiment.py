@@ -13,7 +13,6 @@ from .data import (
     ColumnSpec,
     DatasetSplits,
     ImageHalfPlan,
-    Table,
     encode_csv_dataset,
     even_column_plan,
     load_csv,
@@ -43,21 +42,14 @@ def build_dataset(cfg: ExperimentConfig, seed: int | None = None) -> DatasetSpli
     seed = cfg.seed if seed is None else seed
     ds = cfg.dataset
     if ds.kind == "synthetic":
-        splits = make_synthetic(SyntheticSpec(
+        train_table, test_table = make_synthetic(SyntheticSpec(
             n_classes=ds.classes,
             per_class=ds.per_class,
             dim=ds.dim,
             spread=ds.spread,
             seed=seed,
-            parties=1 if ds.ranges else ds.parties,
             test_fraction=ds.test_fraction,
         ))
-        if not ds.ranges:
-            return splits
-        train_table, test_table = (
-            Table(split.party_features[0], split.labels, split.n_classes, split.sample_ids)
-            for split in (splits.train, splits.test)
-        )
     elif ds.kind == "csv":
         if not ds.path or not ds.columns:
             raise ConfigError("csv dataset needs 'path' and 'columns'")
@@ -102,7 +94,7 @@ def build_parties(cfg: ExperimentConfig, data: DatasetSplits, seed: int | None =
     so its input width is the sum of the per-party embedding dims.
     """
     seed = cfg.seed if seed is None else seed
-    config = TrainingConfig(seed=seed, **asdict(cfg.training))
+    config = TrainingConfig(**asdict(cfg.training))
     root = Rng(seed)
     privacy = privacy_params(cfg)
     adaptive = AdaptiveConfig(n_clusters=data.train.n_classes, **asdict(cfg.adaptive))
@@ -148,7 +140,6 @@ def run_training(
     cfg: ExperimentConfig,
     seed: int | None = None,
     on_round=None,
-    timer: StageTimer | None = None,
 ) -> RunResult:
     """Build everything from the config and run the full training loop."""
     seed = cfg.seed if seed is None else seed
@@ -159,7 +150,6 @@ def run_training(
         evaluate_with_noise=cfg.evaluation.with_noise,
         eval_repeats=cfg.evaluation.repeats,
         on_round=on_round,
-        timer=timer,
     )
     return RunResult(config=cfg, data=data, parties=parties, history=history)
 
@@ -214,9 +204,6 @@ class VflVictim:
             released.append(self.release_embeddings(party.party_id, x, rng.split(party.party_id)))
         head = self.parties.active.head.copy()
         return softmax(head.forward(np.hstack(released)))
-
-    def embedding_dim(self, party_id: int) -> int:
-        return self._party(party_id).embedding_dim
 
     def extractor_dims(self, party_id: int) -> list[int]:
         return self._party(party_id).extractor.dims
@@ -350,12 +337,9 @@ def run_attack_suite(cfg: ExperimentConfig, victims: dict[str, RunResult],
         carve = None
         if run.config.dataset.kind != "synthetic":
             carve = _carve_rows(data.test.n_rows, 2 * atk.shadows, rng.split("carve"))
-        shadow_cache = {}
 
         def shadow_factory(i, shadow_rng):
-            if i not in shadow_cache:
-                shadow_cache[i] = _shadow_run(run.config, i, data, carve)
-            shadow, shadow_data = shadow_cache[i]
+            shadow, shadow_data = _shadow_run(run.config, i, data, carve)
             in_rows, out_rows = _balanced_eval_rows(
                 shadow_data, atk.eval_per_side, shadow_rng.split("rows")
             )

@@ -32,7 +32,6 @@ class TrainingConfig:
     weight_decay: float = 0.0
     alpha: float = 0.0  # weight of the distance-distribution (KL surrogate) loss
     beta: float = 0.0   # weight of the contrastive adjustment loss
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:

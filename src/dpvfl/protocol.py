@@ -30,7 +30,6 @@ from .adaptive import (
     contrastive_loss,
     estimate_local_sensitivity,
     fcm,
-    histogram_kl_to_gaussian,
     kl_surrogate_loss,
     purity,
     rescale,
@@ -40,7 +39,8 @@ from .data import DatasetSplits, VerticalDataset
 from .errors import ArgumentError, InsufficientRetainedError, ProtocolError
 from .mechanism import PrivacyParams, add_noise, clip_norm, clip_norm_vjp
 from .neural import DenseNet, TrainingConfig, cross_entropy_softmax, sgd_step
-from .numerics import Rng, pairwise_distances
+# Unused here, but perfbench traces numerics.pairwise_distances through this name.
+from .numerics import Rng, pairwise_distances  # noqa: F401
 
 EMBEDDING_UP = "embedding_up"
 GRADIENT_DOWN = "gradient_down"
@@ -158,14 +158,6 @@ class AdaptiveConfig:
     p2: float = 0.9987
     confidence_threshold: float = 0.8
     n_clusters: int = 2
-    fuzzifier: float = 2.0
-    fcm_max_iter: int = 100
-    fcm_tol: float = 1e-5
-    kl_diagnostic: str = "moment"
-
-    def __post_init__(self):
-        if self.kl_diagnostic not in ("moment", "histogram"):
-            raise ArgumentError(f"unknown kl_diagnostic {self.kl_diagnostic!r}")
 
 
 @dataclass
@@ -183,7 +175,6 @@ class ReleaseTrace:
     factor: float
     adjusted: np.ndarray
     released: np.ndarray
-    stages: tuple[str, ...]
 
 
 @dataclass
@@ -208,9 +199,9 @@ class PassiveParty:
         features: np.ndarray,
         extractor: DenseNet,
         config: TrainingConfig,
+        rng: Rng,
         privacy: PrivacyParams | None = None,
         adaptive: AdaptiveConfig | None = None,
-        rng: Rng | None = None,
         sigma_override: float | None = None,
     ):
         if privacy is None and adaptive is not None and (adaptive.rescale or adaptive.dist_adjust):
@@ -222,21 +213,13 @@ class PassiveParty:
         self.privacy = privacy
         self.adaptive = adaptive or AdaptiveConfig()
         self.sigma_override = sigma_override
-        root = rng if rng is not None else Rng(config.seed)
-        self._noise_rng = root.split("noise", self.party_id)
-        self._fcm_rng = root.split("fcm", self.party_id)
+        self._noise_rng = rng.split("noise", self.party_id)
+        self._fcm_rng = rng.split("fcm", self.party_id)
         self._trace: ReleaseTrace | None = None
 
     @property
     def protected(self) -> bool:
         return self.privacy is not None
-
-    @property
-    def embedding_dim(self) -> int:
-        return self.extractor.output_dim
-
-    def begin_round(self) -> None:
-        self._trace = None
 
     def compute_release(
         self,
@@ -246,32 +229,28 @@ class PassiveParty:
         timer: StageTimer | None = None,
     ) -> ReleaseTrace:
         """Run forward -> clip -> estimate/rescale -> noise and keep buffers."""
-        stages = []
         with _stage(timer, StageTimer.BASE):
             raw = self.extractor.forward(x)
         _check_finite(raw, batch_index, f"party {self.party_id}", "the extractor output")
         if not self.protected:
             return ReleaseTrace(
                 batch_index=batch_index, raw=raw, clipped=raw, estimate=None,
-                factor=1.0, adjusted=raw, released=raw, stages=("raw",),
+                factor=1.0, adjusted=raw, released=raw,
             )
         t = self.privacy.clip_threshold
         with _stage(timer, StageTimer.BASE):
             clipped = clip_norm(raw, t)
-        stages.append("clipped")
         estimate, factor, adjusted = None, 1.0, clipped
         if self.adaptive.rescale and clipped.shape[0] >= 2:
             with _stage(timer, StageTimer.RESCALE):
                 estimate = estimate_local_sensitivity(clipped, self.adaptive.p2, t)
                 factor = rescale_factor(estimate, t)
                 adjusted = rescale(clipped, estimate, t)
-            stages.append("rescaled")
         with _stage(timer, StageTimer.NOISE):
             released = add_noise(adjusted, self.privacy, noise_rng, sigma=self.sigma_override)
-        stages.append("noised")
         return ReleaseTrace(
             batch_index=batch_index, raw=raw, clipped=clipped, estimate=estimate,
-            factor=factor, adjusted=adjusted, released=released, stages=tuple(stages),
+            factor=factor, adjusted=adjusted, released=released,
         )
 
     def embed_and_share(
@@ -320,9 +299,6 @@ class PassiveParty:
                 assignment, _ = fcm(
                     grad,
                     self.adaptive.n_clusters,
-                    fuzzifier=self.adaptive.fuzzifier,
-                    max_iter=self.adaptive.fcm_max_iter,
-                    tol=self.adaptive.fcm_tol,
                     rng=self._fcm_rng.split("round", batch_index),
                 )
                 assignment = assignment.filtered(self.adaptive.confidence_threshold)
@@ -340,11 +316,7 @@ class PassiveParty:
 
         if self.adaptive.rescale and self.config.alpha != 0.0 and trace.adjusted.shape[0] >= 4:
             with _stage(timer, StageTimer.RESCALE):
-                if self.adaptive.kl_diagnostic == "histogram":
-                    _, kl_grad = kl_surrogate_loss(trace.adjusted, self.config.alpha)
-                    kl_loss = histogram_kl_to_gaussian(pairwise_distances(trace.adjusted))
-                else:
-                    kl_loss, kl_grad = kl_surrogate_loss(trace.adjusted, self.config.alpha)
+                kl_loss, kl_grad = kl_surrogate_loss(trace.adjusted, self.config.alpha)
             adjusted_grad = adjusted_grad + kl_grad
             stats.kl_loss = kl_loss
 
@@ -451,8 +423,6 @@ def run_round(
     """One full communication round over an aligned mini-batch."""
     channel = channel if channel is not None else MessageChannel()
     for party in parties.passives:
-        party.begin_round()
-    for party in parties.passives:
         party.embed_and_share(indices, batch_index, channel, timer)
     loss, accuracy = parties.active.aggregate_and_step(
         [p.party_id for p in parties.passives], indices, batch_index, channel, timer
@@ -549,16 +519,15 @@ def train(
     eval_repeats: int = 1,
     evaluate_each_epoch: bool = True,
     on_round=None,
-    timer: StageTimer | None = None,
 ) -> TrainingHistory:
     """Epoch x mini-batch loop of communication rounds.
 
     Zero configured epochs returns an empty history without touching any
-    party. ``on_round`` (epoch, RoundMetrics) and ``timer`` are observers
-    for logging and the timing breakdown. ``evaluate_each_epoch=False``
-    skips the per-epoch test evaluation and records ``test_accuracy=None``;
-    the trained parties are the same, because evaluation changes no weight
-    and only splits RNG streams. A round with a non-finite value in an
+    party. ``on_round`` (epoch, RoundMetrics) observes every round for
+    logging. ``evaluate_each_epoch=False`` skips the per-epoch test
+    evaluation and records ``test_accuracy=None``; the trained parties are
+    the same, because evaluation changes no weight and only splits RNG
+    streams. A round with a non-finite value in an
     extractor output, the head logits or a returned gradient raises
     ``ProtocolError`` naming the epoch, round and party.
     """
@@ -583,7 +552,6 @@ def train(
                 metrics = run_round(
                     parties, indices, batch_index, channel,
                     batch_labels_for_diagnostics=data.train.labels[indices],
-                    timer=timer,
                 )
                 if on_round is not None:
                     on_round(epoch, metrics)

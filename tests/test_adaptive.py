@@ -12,7 +12,6 @@ from dpvfl.adaptive import (
     estimate_local_sensitivity,
     exact_diameter_estimate,
     fcm,
-    histogram_kl_to_gaussian,
     kl_surrogate_loss,
     purity,
     rescale,
@@ -312,11 +311,6 @@ class TestKlSurrogate:
         batch = Rng(33).normal(0, 1, (64, 16))
         loss, _ = kl_surrogate_loss(batch, 1.0)
         assert loss < 0.2
-
-    def test_histogram_diagnostic(self):
-        d = Rng(3).normal(5, 1, (4000,)).ravel()
-        assert histogram_kl_to_gaussian(d) < 0.05
-        assert histogram_kl_to_gaussian(np.full(10, 2.0)) == 0.0
 
 
 def exhaustive_best_two_partition(points):

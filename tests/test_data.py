@@ -221,37 +221,33 @@ class TestSplitTable:
 class TestMakeSynthetic:
     def test_deterministic(self):
         spec = SyntheticSpec(n_classes=3, per_class=20, dim=6, spread=0.3, seed=5)
-        a = make_synthetic(spec)
-        b = make_synthetic(spec)
-        for pa, pb in zip(a.train.party_features, b.train.party_features):
-            npt.assert_array_equal(pa, pb)
-        npt.assert_array_equal(a.test.labels, b.test.labels)
+        a_train, a_test = make_synthetic(spec)
+        b_train, b_test = make_synthetic(spec)
+        npt.assert_array_equal(a_train.features, b_train.features)
+        npt.assert_array_equal(a_test.labels, b_test.labels)
 
     def test_zero_spread_perfectly_separable(self):
         spec = SyntheticSpec(n_classes=2, per_class=10, dim=4, spread=0.0, seed=1)
-        ds = make_synthetic(spec)
-        full = np.hstack(ds.train.party_features)
+        train, _ = make_synthetic(spec)
         # With zero spread every sample sits exactly on its class mean.
         for label in (0, 1):
-            rows = full[ds.train.labels == label]
+            rows = train.features[train.labels == label]
             assert np.ptp(rows, axis=0).max() == 0.0
 
     def test_split_sizes(self):
         spec = SyntheticSpec(n_classes=2, per_class=50, dim=4, spread=0.5, seed=2)
-        ds = make_synthetic(spec)
-        assert ds.train.n_rows == 80
-        assert ds.test.n_rows == 20
-        assert ds.train.n_parties == 2
+        train, test = make_synthetic(spec)
+        assert train.n_rows == 80
+        assert test.n_rows == 20
+        assert train.n_features == test.n_features == 4
 
     def test_bayes_rate_bounds_any_model(self):
         # Oracle: numerically integrate the overlap of the two 1-D projected
         # class densities to get the Bayes accuracy; no classifier can beat
         # it beyond sampling slack.
         spread = 1.2
-        spec = SyntheticSpec(
-            n_classes=2, per_class=400, dim=4, spread=spread, seed=3, parties=1
-        )
-        ds = make_synthetic(spec)
+        spec = SyntheticSpec(n_classes=2, per_class=400, dim=4, spread=spread, seed=3)
+        _, test = make_synthetic(spec)
         # Projection onto the difference of the class means (e1 - e0): the
         # separation is sqrt(2), per-class std is `spread`.
         grid = np.linspace(-12, 12, 20001)
@@ -263,13 +259,12 @@ class TestMakeSynthetic:
 
         # Train-free optimal-direction classifier on the test split cannot
         # exceed the Bayes rate by more than sampling error.
-        full = np.hstack(ds.test.party_features)
         direction = np.zeros(4)
         direction[1], direction[0] = 1.0, -1.0
-        scores = full @ direction
+        scores = test.features @ direction
         preds = (scores > 0).astype(np.int64)
-        acc = float(np.mean(preds == ds.test.labels))
-        n_test = ds.test.n_rows
+        acc = float(np.mean(preds == test.labels))
+        n_test = test.n_rows
         slack = 3 * math.sqrt(bayes * (1 - bayes) / n_test)
         assert acc <= bayes + slack
 

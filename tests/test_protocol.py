@@ -131,7 +131,6 @@ class TestRunRound:
         cfg, data, parties = build_run()
         party = parties.passives[1]
         channel = MessageChannel()
-        party.begin_round()
         party.embed_and_share(np.arange(24), 4, channel)
         channel.send(GradientDown(1, 4, np.full((24, 6), np.inf)))
         with pytest.raises(ProtocolError,
@@ -155,18 +154,22 @@ class TestRunRound:
         )
         trace = party.compute_release(x, party._noise_rng)
         npt.assert_array_equal(trace.released, expected)
-        assert trace.stages == ("clipped", "noised")
+        # No rescale step ran: the noise went onto the clipped batch itself.
+        assert trace.estimate is None and trace.factor == 1.0
+        npt.assert_array_equal(trace.adjusted, trace.clipped)
 
     def test_pipeline_order_witness(self):
         cfg, data, parties = build_run()
         indices = sample_aligned_batch(data.train.n_rows, 24, Rng(4))
         party = parties.passives[0]
-        party.begin_round()
         channel = MessageChannel()
         party.embed_and_share(indices, 0, channel)
         trace = party._trace
-        assert trace.stages == ("clipped", "rescaled", "noised")
         assert np.linalg.norm(trace.clipped, axis=1).max() <= party.privacy.clip_threshold
+        # Rescale ran on the clipped batch, before the noise.
+        assert trace.estimate is not None
+        npt.assert_array_equal(trace.adjusted, trace.factor * trace.clipped)
+        assert not np.array_equal(trace.released, trace.adjusted)
 
     def test_boundary_hygiene_spy(self):
         cfg, data, parties = build_run()
