@@ -121,6 +121,9 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _resolve_config(args)
+    if cfg.training.epochs < 1:
+        # Each cell reports its final epoch's test accuracy.
+        raise ConfigError("ablate needs training.epochs of at least 1")
     run_dir = runs.prepare_run_dir(
         _out_dir(args, cfg, f"ablate-seed{cfg.seed}"), force=args.force
     )

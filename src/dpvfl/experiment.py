@@ -42,6 +42,9 @@ def build_dataset(cfg: ExperimentConfig, seed: int | None = None) -> DatasetSpli
     seed = cfg.seed if seed is None else seed
     ds = cfg.dataset
     if ds.kind == "synthetic":
+        for key in ("halves", "limit"):
+            if getattr(ds, key) is not None:
+                raise ConfigError(f"dataset.{key} does not apply to a synthetic dataset")
         train_table, test_table = make_synthetic(SyntheticSpec(
             n_classes=ds.classes,
             per_class=ds.per_class,

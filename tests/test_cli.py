@@ -68,6 +68,13 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "training.warmup" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("halves", ["left", "right"]), ("limit", 5)])
+    def test_synthetic_rejects_file_dataset_key_exit_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{f"dataset.{key}": value})
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"dataset.{key} does not apply to a synthetic dataset" in capsys.readouterr().err
+
     def test_zero_delta_exit_1_names_delta(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"privacy.epsilon": 10.0, "privacy.delta": 0,
                                         "privacy.allow_large_epsilon": True})
@@ -104,6 +111,13 @@ class TestAblateCommand:
         assert methods == ["vanilla", "vanilla+rescale", "vanilla+distadj", "full"]
         stds = [float(line.split(",")[3]) for line in lines[1:]]
         assert stds == [0.0, 0.0, 0.0, 0.0]
+
+    def test_zero_epochs_exit_2_before_any_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"training.epochs": 0})
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: ablate needs training.epochs of at least 1\n"
+        assert not out.exists()
 
 
 class TestAttackCommand:

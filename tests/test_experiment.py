@@ -47,8 +47,11 @@ class TestConfig:
             parse_config(tiny_raw(**{"dataset.blobs": 3}))
 
     def test_unknown_nested_key_named(self):
-        with pytest.raises(ConfigError, match="unknown config key: training.momentum"):
-            parse_config(tiny_raw(**{"training.momentum": 0.9}))
+        # The adaptive keys are settings the schema no longer has.
+        for dotted in ("training.momentum", "adaptive.fuzzifier", "adaptive.fcm_max_iter",
+                       "adaptive.fcm_tol", "adaptive.kl_diagnostic"):
+            with pytest.raises(ConfigError, match=f"unknown config key: {dotted}$"):
+                parse_config(tiny_raw(**{dotted: 0.9}))
 
     # With the two tests above (dataset, training) this covers every key set.
     @pytest.mark.parametrize("section", [
@@ -246,6 +249,13 @@ class TestFileDatasets:
     def test_idx_needs_images_and_labels(self):
         cfg = parse_config(tiny_raw(**{"dataset": {"kind": "idx"}}))
         with pytest.raises(ConfigError, match="'images' and 'labels'"):
+            build_dataset(cfg)
+
+    @pytest.mark.parametrize("key, value", [("halves", ["left", "right"]), ("limit", 5)])
+    def test_synthetic_rejects_file_dataset_key(self, key, value):
+        cfg = parse_config(tiny_raw(**{f"dataset.{key}": value}))
+        with pytest.raises(ConfigError,
+                           match=f"dataset.{key} does not apply to a synthetic dataset"):
             build_dataset(cfg)
 
     def test_unknown_kind(self):
