@@ -527,9 +527,9 @@ def train(
     logging. ``evaluate_each_epoch=False`` skips the per-epoch test
     evaluation and records ``test_accuracy=None``; the trained parties are
     the same, because evaluation changes no weight and only splits RNG
-    streams. A round with a non-finite value in an
-    extractor output, the head logits or a returned gradient raises
-    ``ProtocolError`` naming the epoch, round and party.
+    streams. A round with a non-finite value in an extractor output, the
+    head logits or a returned gradient raises ``ProtocolError`` naming the
+    epoch, round and party.
     """
     config = parties.active.config
     n_train = data.train.n_rows

@@ -47,7 +47,6 @@ class TestConfig:
             parse_config(tiny_raw(**{"dataset.blobs": 3}))
 
     def test_unknown_nested_key_named(self):
-        # The adaptive keys are settings the schema no longer has.
         for dotted in ("training.momentum", "adaptive.fuzzifier", "adaptive.fcm_max_iter",
                        "adaptive.fcm_tol", "adaptive.kl_diagnostic"):
             with pytest.raises(ConfigError, match=f"unknown config key: {dotted}$"):
