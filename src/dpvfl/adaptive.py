@@ -241,6 +241,35 @@ def _memberships(points: np.ndarray, centers: np.ndarray, fuzzifier: float) -> n
     return u
 
 
+def _lifted_memberships(
+    lifted: np.ndarray, points: np.ndarray, centers: np.ndarray, fuzzifier: float, near: float
+) -> np.ndarray:
+    """Memberships from ``[q, 1, |q|^2] @ [-2c, |c|^2, 1]^T = |q - c|^2``.
+
+    The product cancels for a point near a center, so when any squared
+    distance is at most ``near`` the update takes the exact differences of
+    ``_memberships`` instead.
+    """
+    dim = centers.shape[1]
+    coeffs = np.empty((centers.shape[0], dim + 2))
+    np.multiply(centers, -2.0, out=coeffs[:, :dim])
+    coeffs[:, dim] = np.einsum("ij,ij->i", centers, centers)
+    coeffs[:, dim + 1] = 1.0
+    d2 = lifted @ coeffs.T
+    if d2.min() <= near:
+        return _memberships(points, centers, fuzzifier)
+    inv = 1.0 / d2 if fuzzifier == 2.0 else d2 ** (-1.0 / (fuzzifier - 1.0))
+    return inv / inv.sum(axis=1, keepdims=True)
+
+
+def _unique_rows(p: np.ndarray) -> np.ndarray:
+    """The rows of ``np.unique(p, axis=0)``, in its order, by one lexsort."""
+    rows = p[np.lexsort(p.T[::-1])]
+    fresh = np.ones(rows.shape[0], dtype=bool)
+    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[fresh]
+
+
 def fcm(
     points,
     n_clusters: int,
@@ -257,6 +286,11 @@ def fcm(
     memberships (ties -> lowest id) and confidence is the max membership.
     Centers start at ``n_clusters`` distinct sampled rows; if the batch has
     fewer distinct rows than clusters the result is flagged degenerate.
+
+    The iteration runs on the batch centered on its mean, with all squared
+    distances and all center sums each taken from one matrix product; an
+    update where a point comes within ``1e-9 * max |q|^2`` of a center, as
+    the first one always does, uses exact differences instead.
 
     Beyond about 2^±500 squared distances overflow or underflow and the
     memberships become 0/0, so a batch whose largest entry lies there is
@@ -282,25 +316,34 @@ def fcm(
         )
         return assignment, centers * unit
 
-    unique_rows = np.unique(p, axis=0)
+    unique_rows = _unique_rows(p)
     degenerate = unique_rows.shape[0] < n_clusters
     if degenerate:
         picks = rng.choice(n, size=n_clusters, replace=False)
-        centers = p[picks].copy()
+        centers = p[picks]
     else:
         picks = rng.choice(unique_rows.shape[0], size=n_clusters, replace=False)
-        centers = unique_rows[picks].copy()
+        centers = unique_rows[picks]
 
-    u = _memberships(p, centers, fuzzifier)
+    mean = p.mean(axis=0)
+    q = p - mean
+    centers = centers - mean
+    sq_norms = np.einsum("ij,ij->i", q, q)
+    # [q, 1] also gives every center's weighted sum and mass in one product.
+    lifted = np.column_stack([q, np.ones(n), sq_norms])
+    near = 1e-9 * float(sq_norms.max())
+    u = _memberships(q, centers, fuzzifier)
     for _ in range(max_iter):
         w = u**fuzzifier
-        mass = w.sum(axis=0)
+        sums = w.T @ lifted[:, :-1]
+        mass = sums[:, -1]
         new_centers = centers.copy()
         alive = mass > 1e-300
-        new_centers[alive] = (w[:, alive].T @ p) / mass[alive, None]
-        movement = float(np.linalg.norm(new_centers - centers, axis=1).max())
+        new_centers[alive] = sums[alive, :-1] / mass[alive, None]
+        step = new_centers - centers
+        movement = math.sqrt(float(np.einsum("ij,ij->i", step, step).max()))
         centers = new_centers
-        u = _memberships(p, centers, fuzzifier)
+        u = _lifted_memberships(lifted, q, centers, fuzzifier, near)
         if movement < tol:
             break
 
@@ -315,7 +358,7 @@ def fcm(
             degenerate=degenerate,
             memberships=u,
         ),
-        centers,
+        centers + mean,
     )
 
 

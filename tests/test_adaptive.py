@@ -4,10 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dpvfl import adaptive
 from dpvfl.adaptive import (
     FuzzyAssignment,
     _distance_moment_penalty,
     _memberships,
+    _unique_rows,
     contrastive_loss,
     estimate_local_sensitivity,
     exact_diameter_estimate,
@@ -87,8 +89,8 @@ def contrastive_reference(batch, assignment, beta):
     return loss, scatter_reference(n, j_idx, k_idx, contrib)
 
 
-# The memberships and fcm loop that fcm must match bit for bit: a mask built
-# before every memberships update, masked center updates, np.unique.
+# The memberships and fcm loop that fcm must match: a mask built before every
+# memberships update, masked center updates, np.unique, no centering.
 
 def memberships_reference(points, centers, fuzzifier):
     diff = points[:, None, :] - centers[None, :, :]
@@ -139,6 +141,8 @@ FCM_SIZES = [4, 60, 100]
 # "signed_zeros" has +0.0 and -0.0 entries in otherwise equal rows, which
 # np.unique treats as duplicates.
 FCM_CASES = ["plain", "duplicates", "signed_zeros"]
+# fcm against fcm_reference: memberships, confidences and centers.
+FCM_TOLERANCE = 1e-12
 
 
 def fcm_objective(points, centers, memberships, fuzzifier):
@@ -385,18 +389,58 @@ class TestFcm:
     @pytest.mark.parametrize("c", [2, 4])
     @pytest.mark.parametrize("case", FCM_CASES)
     def test_fcm_bit_equal_to_pre_change(self, n, c, case):
-        # The initial centers are rows of the batch, so the first memberships
-        # update always takes the point-on-a-center path.
+        # The assignment stays bit-equal to the reference loop; memberships
+        # and centers, now taken from matrix products on the centered batch,
+        # agree to FCM_TOLERANCE. The initial centers are rows of the batch,
+        # so the first memberships update always takes the exact path.
         points = fcm_batch(n, case)
         assignment, centers = fcm(points, c, rng=Rng(11))
         ids, confidences, u, ref_centers, degenerate = fcm_reference(points, c, Rng(11))
         assert np.array_equal(assignment.cluster_ids, ids)
-        assert np.array_equal(assignment.confidences, confidences)
-        assert np.array_equal(assignment.memberships, u)
-        assert np.array_equal(centers, ref_centers)
+        assert np.array_equal(assignment.filtered(0.8).retained_mask, confidences >= 0.8)
         assert assignment.degenerate == degenerate
+        npt.assert_allclose(assignment.confidences, confidences, rtol=0, atol=FCM_TOLERANCE)
+        npt.assert_allclose(assignment.memberships, u, rtol=0, atol=FCM_TOLERANCE)
+        npt.assert_allclose(centers, ref_centers, rtol=0, atol=FCM_TOLERANCE)
         if case == "duplicates":
             assert assignment.degenerate == (c > 3)
+
+    @pytest.mark.parametrize("n", FCM_SIZES)
+    @pytest.mark.parametrize("case", FCM_CASES)
+    def test_unique_rows_match_np_unique(self, n, case):
+        points = fcm_batch(n, case)
+        assert np.array_equal(_unique_rows(points), np.unique(points, axis=0))
+
+    def test_lone_outlier_matches_reference(self, monkeypatch):
+        # One far row pulls a center to within 1e-9 max|q|^2 of itself, so
+        # updates after the first one also take the exact path.
+        points = Rng(12).normal(0, 1, (20, 4))
+        points[7] = 100.0
+        exact_calls = []
+
+        def counting(*args):
+            exact_calls.append(1)
+            return _memberships(*args)
+
+        monkeypatch.setattr(adaptive, "_memberships", counting)
+        assignment, _ = fcm(points, 2, rng=Rng(13))
+        ids, confidences, u, _, degenerate = fcm_reference(points, 2, Rng(13))
+        assert len(exact_calls) > 1
+        assert np.array_equal(assignment.cluster_ids, ids)
+        assert np.array_equal(assignment.filtered(0.8).retained_mask, confidences >= 0.8)
+        assert assignment.degenerate == degenerate
+        npt.assert_allclose(assignment.memberships, u, rtol=0, atol=FCM_TOLERANCE)
+
+    def test_offset_batch_matches_reference(self):
+        # Two blobs of spread 1e-3 around 1e4: the uncentered reference loses
+        # about 9 digits there, so memberships agree to 1e-6 only.
+        blobs, _ = gradient_blobs(14, n_per=30, separation=6.0)
+        points = 1e4 + 1e-3 * blobs
+        assignment, _ = fcm(points, 2, rng=Rng(15))
+        ids, confidences, u, _, _ = fcm_reference(points, 2, Rng(15))
+        assert np.array_equal(assignment.cluster_ids, ids)
+        assert np.array_equal(assignment.filtered(0.8).retained_mask, confidences >= 0.8)
+        npt.assert_allclose(assignment.memberships, u, rtol=0, atol=1e-6)
 
     def test_memberships_row_sum_one(self):
         points = Rng(3).normal(0, 1, (40, 5))
