@@ -401,7 +401,8 @@ def contrastive_loss(batch, assignment: FuzzyAssignment, beta: float) -> tuple[f
     if beta == 0.0:
         return 0.0, np.zeros_like(b)
     if assignment.n_retained < 2:
-        logger.warning(
+        # protocol.train counts these rounds in one warning per training.
+        logger.debug(
             "contrastive adjustment skipped: only %d retained rows", assignment.n_retained
         )
         return 0.0, np.zeros_like(b)

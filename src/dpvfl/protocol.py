@@ -19,6 +19,7 @@ message channel keeps a log so tests can audit that.
 
 from __future__ import annotations
 
+import logging
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -41,6 +42,8 @@ from .mechanism import PrivacyParams, add_noise, clip_norm, clip_norm_vjp
 from .neural import DenseNet, TrainingConfig, cross_entropy_softmax, sgd_step
 # Unused here, but perfbench traces numerics.pairwise_distances through this name.
 from .numerics import Rng, pairwise_distances  # noqa: F401
+
+logger = logging.getLogger(__name__)
 
 EMBEDDING_UP = "embedding_up"
 GRADIENT_DOWN = "gradient_down"
@@ -529,7 +532,9 @@ def train(
     the same, because evaluation changes no weight and only splits RNG
     streams. A round with a non-finite value in an extractor output, the
     head logits or a returned gradient raises ``ProtocolError`` naming the
-    epoch, round and party.
+    epoch, round and party. If the confidence filter keeps fewer than 2 rows
+    in some party-rounds, so that their contrastive term is skipped, one
+    warning at the end counts them.
     """
     config = parties.active.config
     n_train = data.train.n_rows
@@ -542,6 +547,7 @@ def train(
     channel = MessageChannel()
     history = TrainingHistory()
     batch_index = 0
+    clustered = skipped = 0
     for epoch in range(config.epochs):
         with _in_epoch(epoch):
             losses, accuracies = [], []
@@ -562,6 +568,9 @@ def train(
                         deltas[pid].append(stats.delta_local)
                     if stats.purity is not None:
                         purities[pid].append(stats.purity)
+                    if stats.retained is not None:
+                        clustered += 1
+                        skipped += stats.retained < 2
                 batch_index += 1
             test_accuracy = None
             if evaluate_each_epoch:
@@ -578,4 +587,9 @@ def train(
                 mean_purity={pid: float(np.mean(v)) for pid, v in purities.items() if v},
             ))
     history.rounds = batch_index
+    if skipped:
+        logger.warning(
+            "contrastive adjustment skipped in %d of %d party-rounds: "
+            "fewer than 2 rows retained", skipped, clustered,
+        )
     return history

@@ -262,6 +262,20 @@ class TestTrain:
                 pytest.raises(ProtocolError, match=where):
             train(parties, data, Rng(cfg.seed))
 
+    def test_skipped_contrastive_rounds_give_one_warning(self, caplog):
+        # At confidence 0.99 FCM keeps fewer than 2 rows in some rounds.
+        cfg, data, parties = build_run(**{"adaptive.confidence_threshold": 0.99})
+        retained = []
+        with caplog.at_level("WARNING"):
+            train(parties, data, Rng(cfg.seed), on_round=lambda e, m: retained.extend(
+                s.retained for s in m.party_stats.values()))
+        skipped = sum(r < 2 for r in retained)
+        assert 0 < skipped < len(retained)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"contrastive adjustment skipped in {skipped} of {len(retained)} "
+            "party-rounds: fewer than 2 rows retained"
+        ]
+
     def test_round_callback_sees_every_round(self):
         cfg, data, parties = build_run(**{"training.epochs": 1})
         seen = []
