@@ -29,6 +29,7 @@ from .numerics import Rng, as_matrix, erf_inv, pair_indices, pairwise_distances
 logger = logging.getLogger(__name__)
 
 SENSITIVITY_FLOOR_SCALE = 1e-6  # lower clamp for the estimate, relative to t
+MIN_RETAINED_ROWS = 2  # fewer retained rows form no pair: no contrastive term
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,8 @@ def _distance_moment_penalty(d: np.ndarray) -> tuple[float, np.ndarray]:
     """
     count = d.size
     centered = d - d.mean()
-    # Products, not x**3 and x**4: numpy's pow of mixed-sign inputs runs off
-    # its vectorized path and cost most of this function.
+    # Products, not x**3 and x**4: numpy's pow of mixed-sign inputs leaves
+    # its vectorized path and would cost most of this function.
     squared = centered**2
     m2 = float(np.mean(squared))
     scale = max(float(np.mean(d * d)), 1.0)
@@ -242,23 +243,27 @@ def _memberships(points: np.ndarray, centers: np.ndarray, fuzzifier: float) -> n
 
 
 def _lifted_memberships(
-    lifted: np.ndarray, points: np.ndarray, centers: np.ndarray, fuzzifier: float, near: float
+    lifted: np.ndarray,
+    coeffs: np.ndarray,
+    points: np.ndarray,
+    centers: np.ndarray,
+    fuzzifier: float,
+    near: float,
 ) -> np.ndarray:
     """Memberships from ``[q, 1, |q|^2] @ [-2c, |c|^2, 1]^T = |q - c|^2``.
 
+    ``coeffs`` is the scratch ``[-2c, |c|^2, 1]``, its last column already 1.
     The product cancels for a point near a center, so when any squared
     distance is at most ``near`` the update takes the exact differences of
     ``_memberships`` instead.
     """
     dim = centers.shape[1]
-    coeffs = np.empty((centers.shape[0], dim + 2))
     np.multiply(centers, -2.0, out=coeffs[:, :dim])
     coeffs[:, dim] = np.einsum("ij,ij->i", centers, centers)
-    coeffs[:, dim + 1] = 1.0
     d2 = lifted @ coeffs.T
     if d2.min() <= near:
         return _memberships(points, centers, fuzzifier)
-    inv = 1.0 / d2 if fuzzifier == 2.0 else d2 ** (-1.0 / (fuzzifier - 1.0))
+    inv = d2 ** (-1.0 / (fuzzifier - 1.0))  # numpy takes ** -1.0 as a reciprocal
     return inv / inv.sum(axis=1, keepdims=True)
 
 
@@ -287,10 +292,10 @@ def fcm(
     Centers start at ``n_clusters`` distinct sampled rows; if the batch has
     fewer distinct rows than clusters the result is flagged degenerate.
 
-    The iteration runs on the batch centered on its mean, with all squared
-    distances and all center sums each taken from one matrix product; an
-    update where a point comes within ``1e-9 * max |q|^2`` of a center, as
-    the first one always does, uses exact differences instead.
+    The iteration runs on the batch ``q`` centered on its mean, with all
+    squared distances and all center sums each taken from one matrix
+    product; an update where a squared distance is at most
+    ``1e-9 * max |q|^2``, as at the first one, uses exact differences.
 
     Beyond about 2^±500 squared distances overflow or underflow and the
     memberships become 0/0, so a batch whose largest entry lies there is
@@ -332,6 +337,7 @@ def fcm(
     # [q, 1] also gives every center's weighted sum and mass in one product.
     lifted = np.column_stack([q, np.ones(n), sq_norms])
     near = 1e-9 * float(sq_norms.max())
+    coeffs = np.ones((n_clusters, q.shape[1] + 2))
     u = _memberships(q, centers, fuzzifier)
     for _ in range(max_iter):
         w = u**fuzzifier
@@ -343,7 +349,7 @@ def fcm(
         step = new_centers - centers
         movement = math.sqrt(float(np.einsum("ij,ij->i", step, step).max()))
         centers = new_centers
-        u = _lifted_memberships(lifted, q, centers, fuzzifier, near)
+        u = _lifted_memberships(lifted, coeffs, q, centers, fuzzifier, near)
         if movement < tol:
             break
 
@@ -400,7 +406,7 @@ def contrastive_loss(batch, assignment: FuzzyAssignment, beta: float) -> tuple[f
         raise ArgumentError(f"assignment covers {assignment.cluster_ids.shape[0]} rows, batch has {n}")
     if beta == 0.0:
         return 0.0, np.zeros_like(b)
-    if assignment.n_retained < 2:
+    if assignment.n_retained < MIN_RETAINED_ROWS:
         # protocol.train counts these rounds in one warning per training.
         logger.debug(
             "contrastive adjustment skipped: only %d retained rows", assignment.n_retained

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adaptive import (
+    MIN_RETAINED_ROWS,
     SensitivityEstimate,
     contrastive_loss,
     estimate_local_sensitivity,
@@ -532,9 +533,8 @@ def train(
     the same, because evaluation changes no weight and only splits RNG
     streams. A round with a non-finite value in an extractor output, the
     head logits or a returned gradient raises ``ProtocolError`` naming the
-    epoch, round and party. If the confidence filter keeps fewer than 2 rows
-    in some party-rounds, so that their contrastive term is skipped, one
-    warning at the end counts them.
+    epoch, round and party. Party-rounds whose confidence filter kept too
+    few rows for a contrastive term are counted in one warning at the end.
     """
     config = parties.active.config
     n_train = data.train.n_rows
@@ -570,7 +570,7 @@ def train(
                         purities[pid].append(stats.purity)
                     if stats.retained is not None:
                         clustered += 1
-                        skipped += stats.retained < 2
+                        skipped += stats.retained < MIN_RETAINED_ROWS
                 batch_index += 1
             test_accuracy = None
             if evaluate_each_epoch:
@@ -590,6 +590,6 @@ def train(
     if skipped:
         logger.warning(
             "contrastive adjustment skipped in %d of %d party-rounds: "
-            "fewer than 2 rows retained", skipped, clustered,
+            "fewer than %d rows retained", skipped, clustered, MIN_RETAINED_ROWS,
         )
     return history
