@@ -394,10 +394,10 @@ class TestFcm:
     @pytest.mark.parametrize("c", [2, 4])
     @pytest.mark.parametrize("case", FCM_CASES)
     def test_fcm_bit_equal_to_pre_change(self, n, c, case):
-        # The assignment stays bit-equal to the reference loop; memberships
-        # and centers, now taken from matrix products on the centered batch,
-        # agree to FCM_TOLERANCE. The initial centers are rows of the batch,
-        # so the first memberships update always takes the exact path.
+        # The assignment is bit-equal to the reference loop; memberships and
+        # centers, taken from matrix products on the centered batch, agree
+        # to FCM_TOLERANCE. The initial centers are rows of the batch, so the
+        # first memberships update always takes the exact path.
         points = fcm_batch(n, case)
         assignment, centers = fcm(points, c, rng=Rng(11))
         ids, confidences, u, ref_centers, degenerate = fcm_reference(points, c, Rng(11))
