@@ -20,11 +20,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
 
 from .errors import ArgumentError, InsufficientRetainedError
-from .numerics import Rng, as_matrix, erf_inv, pair_indices, pairwise_distances
+from .numerics import Rng, as_matrix, pair_indices, pairwise_distances
 
 logger = logging.getLogger(__name__)
 
@@ -39,7 +40,6 @@ class SensitivityEstimate:
     mu_h: float
     sigma_h: float
     delta_local: float  # clamped into (1e-6 * t, 2t]
-    p2: float
 
 
 def _clamp_estimate(value: float, t: float) -> float:
@@ -51,7 +51,7 @@ def _clamp_estimate(value: float, t: float) -> float:
 def estimate_local_sensitivity(batch, p2: float, t: float) -> SensitivityEstimate:
     """Fit N(mu, sigma^2) to the pairwise distances and return its p2 quantile.
 
-    The quantile is ``mu + sigma * sqrt(2) * erf_inv(2 p2 - 1)`` and is
+    The quantile is ``mu + sigma * NormalDist().inv_cdf(p2)`` and is
     clamped into ``(1e-6 t, 2t]``; a degenerate batch (all rows identical)
     lands on the lower clamp.
     """
@@ -62,10 +62,8 @@ def estimate_local_sensitivity(batch, p2: float, t: float) -> SensitivityEstimat
     d = pairwise_distances(batch)
     mu = float(d.mean())
     sigma = float(d.std(ddof=1)) if d.size > 1 else 0.0
-    quantile = mu + sigma * math.sqrt(2.0) * erf_inv(2.0 * p2 - 1.0)
-    return SensitivityEstimate(
-        mu_h=mu, sigma_h=sigma, delta_local=_clamp_estimate(quantile, t), p2=p2
-    )
+    quantile = mu + sigma * NormalDist().inv_cdf(p2)
+    return SensitivityEstimate(mu_h=mu, sigma_h=sigma, delta_local=_clamp_estimate(quantile, t))
 
 
 def exact_diameter_estimate(batch, t: float) -> SensitivityEstimate:
@@ -77,7 +75,6 @@ def exact_diameter_estimate(batch, t: float) -> SensitivityEstimate:
         mu_h=float(d.mean()),
         sigma_h=float(d.std(ddof=1)) if d.size > 1 else 0.0,
         delta_local=_clamp_estimate(float(d.max()), t),
-        p2=1.0,
     )
 
 

@@ -1,9 +1,9 @@
 """Dense float64 helpers: deterministic RNG streams and special functions.
 
-Everything downstream (clipping, noise calibration, quantile estimates,
-clustering) is built on the primitives here. All arrays are 2-D row-major
-float64; all randomness flows through :class:`Rng` so that multi-party runs
-are reproducible regardless of scheduling.
+Everything downstream (clipping, noise calibration, clustering) is built
+on the primitives here. All arrays are 2-D row-major float64; all
+randomness flows through :class:`Rng` so that multi-party runs are
+reproducible regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import ArgumentError
 
 __all__ = [
     "Rng",
-    "erf_inv",
     "normal_cdf",
     "pair_indices",
     "pairwise_distances",
@@ -88,63 +87,6 @@ class Rng:
 
     def uniform(self, low: float, high: float, size=None):
         return self._gen.uniform(low, high, size=size)
-
-
-# Rational approximation of the standard normal quantile (lower-tail /
-# central / upper-tail branches, max relative error about 1.15e-9), refined
-# below by a single Newton step on erf. This keeps quantile values stable
-# across platforms: |erf(erf_inv(p)) - p| stays under 1e-7 over (-1, 1),
-# far inside the documented bound of the raw approximation alone.
-_QA = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_QB = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-       6.680131188771972e+01, -1.328068155288572e+01)
-_QC = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-       -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_QD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-       3.754408661907416e+00)
-_Q_LOW = 0.02425
-
-
-def _norm_quantile_approx(q: float) -> float:
-    """Rational approximation of the standard normal quantile on (0, 1)."""
-    if q < _Q_LOW:
-        r = math.sqrt(-2.0 * math.log(q))
-        num = ((((_QC[0] * r + _QC[1]) * r + _QC[2]) * r + _QC[3]) * r + _QC[4]) * r + _QC[5]
-        den = (((_QD[0] * r + _QD[1]) * r + _QD[2]) * r + _QD[3]) * r + 1.0
-        return num / den
-    if q > 1.0 - _Q_LOW:
-        r = math.sqrt(-2.0 * math.log(1.0 - q))
-        num = ((((_QC[0] * r + _QC[1]) * r + _QC[2]) * r + _QC[3]) * r + _QC[4]) * r + _QC[5]
-        den = (((_QD[0] * r + _QD[1]) * r + _QD[2]) * r + _QD[3]) * r + 1.0
-        return -(num / den)
-    r = q - 0.5
-    s = r * r
-    num = ((((((_QA[0] * s + _QA[1]) * s + _QA[2]) * s + _QA[3]) * s + _QA[4]) * s + _QA[5])) * r
-    den = ((((_QB[0] * s + _QB[1]) * s + _QB[2]) * s + _QB[3]) * s + _QB[4]) * s + 1.0
-    return num / den
-
-
-_HALF_SQRT_PI = math.sqrt(math.pi) / 2.0
-
-
-def erf_inv(p: float) -> float:
-    """Inverse of the error function on (-1, 1).
-
-    Odd by construction (computed for ``|p|`` and sign-flipped), so
-    ``erf_inv(-p) == -erf_inv(p)`` exactly.
-    """
-    p = float(p)
-    if not math.isfinite(p) or not -1.0 < p < 1.0:
-        raise ArgumentError(f"erf_inv requires |p| < 1, got {p}")
-    if p == 0.0:
-        return 0.0
-    a = abs(p)
-    x = _norm_quantile_approx((a + 1.0) / 2.0) / math.sqrt(2.0)
-    if x < 6.0:
-        # One Newton step on f(x) = erf(x) - a; f'(x) = 2/sqrt(pi) exp(-x^2).
-        x -= (math.erf(x) - a) * _HALF_SQRT_PI * math.exp(x * x)
-    return math.copysign(x, p)
 
 
 def normal_cdf(z: np.ndarray) -> np.ndarray:

@@ -197,7 +197,7 @@ class TestEstimateLocalSensitivity:
     def test_three_point_line(self):
         # 1-D points {0, 1, 3} have pairwise distances {1, 2, 3}:
         # mu = 2, sample std = 1, and the 0.9987 normal quantile sits at
-        # mu + ~3.01 sigma (erf_inv oracle below).
+        # mu + ~3.01 sigma (bisection oracle below).
         batch = np.array([[0.0], [1.0], [3.0]])
         est = estimate_local_sensitivity(batch, p2=0.9987, t=3.0)
         assert abs(est.mu_h - 2.0) < 1e-12
@@ -205,6 +205,19 @@ class TestEstimateLocalSensitivity:
         z = math.sqrt(2.0) * erf_inv_bisect(2 * 0.9987 - 1)
         assert abs(est.delta_local - (2.0 + z)) < 1e-9
         assert abs(est.delta_local - 5.0) < 0.05
+
+    @pytest.mark.parametrize("p2", [0.5, 0.9, 0.99, 0.9987, 0.999999])
+    def test_quantile_matches_bisection_oracle(self, p2):
+        # Same batch as above (mu = 2, sigma = 1); 2t = 8 leaves every
+        # quantile here unclamped.
+        est = estimate_local_sensitivity(np.array([[0.0], [1.0], [3.0]]), p2=p2, t=4.0)
+        z = math.sqrt(2.0) * erf_inv_bisect(2 * p2 - 1)
+        assert abs(est.delta_local - (2.0 + z)) < 1e-9
+
+    @pytest.mark.parametrize("p2", [0.0, 1.0, 1.5, float("nan")])
+    def test_p2_domain_errors(self, p2):
+        with pytest.raises(ArgumentError):
+            estimate_local_sensitivity(np.array([[0.0], [1.0], [3.0]]), p2=p2, t=4.0)
 
     def test_degenerate_batch_clamps_to_floor(self):
         batch = np.ones((5, 3))

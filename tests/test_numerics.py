@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from dpvfl.errors import ArgumentError
 from dpvfl.numerics import (
     Rng,
-    erf_inv,
     pairwise_distances,
 )
-
-from conftest import erf_inv_bisect
 
 
 def per_row_distances(batch):
@@ -48,34 +45,6 @@ class TestRng:
             Rng(-1)
         with pytest.raises(ArgumentError):
             Rng(0).split(-3)
-
-
-class TestErfInv:
-    def test_zero(self):
-        assert erf_inv(0.0) == 0.0
-
-    def test_known_point(self):
-        # erf(3/sqrt(2)) ~ 0.9973, so inverting lands near 3/sqrt(2).
-        oracle = erf_inv_bisect(0.9973)
-        assert abs(erf_inv(0.9973) - oracle) < 1e-9
-        assert abs(erf_inv(0.9973) - 3.0 / math.sqrt(2.0)) < 1e-3
-
-    def test_round_trip_grid(self):
-        for p in np.linspace(-0.999, 0.999, 1000):
-            assert abs(math.erf(erf_inv(p)) - p) < 1e-7
-
-    def test_extreme_tails_round_trip(self):
-        for p in (0.9999999, -0.9999999, 1e-12, -1e-12):
-            assert abs(math.erf(erf_inv(p)) - p) < 1e-7
-
-    @given(st.floats(min_value=1e-9, max_value=0.999999))
-    def test_odd_symmetry(self, p):
-        assert erf_inv(-p) == -erf_inv(p)
-
-    @pytest.mark.parametrize("p", [-1.0, 1.0, 1.5, float("nan")])
-    def test_domain_errors(self, p):
-        with pytest.raises(ArgumentError):
-            erf_inv(p)
 
 
 class TestPairwiseDistances:
