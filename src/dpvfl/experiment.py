@@ -37,9 +37,8 @@ from .protocol import (
 )
 
 
-def build_dataset(cfg: ExperimentConfig, seed: int | None = None) -> DatasetSplits:
+def build_dataset(cfg: ExperimentConfig) -> DatasetSplits:
     """Materialize the configured dataset, deterministically from the seed."""
-    seed = cfg.seed if seed is None else seed
     ds = cfg.dataset
     if ds.kind == "synthetic":
         for key in ("halves", "limit"):
@@ -50,7 +49,7 @@ def build_dataset(cfg: ExperimentConfig, seed: int | None = None) -> DatasetSpli
             per_class=ds.per_class,
             dim=ds.dim,
             spread=ds.spread,
-            seed=seed,
+            seed=cfg.seed,
             test_fraction=ds.test_fraction,
         ))
     elif ds.kind == "csv":
@@ -58,13 +57,13 @@ def build_dataset(cfg: ExperimentConfig, seed: int | None = None) -> DatasetSpli
             raise ConfigError("csv dataset needs 'path' and 'columns'")
         schema = tuple(ColumnSpec(c["name"], c["kind"]) for c in ds.columns)
         raw = load_csv(ds.path, schema)
-        train_table, test_table = encode_csv_dataset(raw, ds.test_fraction, seed)
+        train_table, test_table = encode_csv_dataset(raw, ds.test_fraction, cfg.seed)
         train_table = train_table.head(ds.limit)
     elif ds.kind == "idx":
         if not ds.images or not ds.labels:
             raise ConfigError("idx dataset needs 'images' and 'labels'")
         table = load_idx(ds.images, ds.labels).head(ds.limit)
-        train_table, test_table = split_table(table, ds.test_fraction, seed)
+        train_table, test_table = split_table(table, ds.test_fraction, cfg.seed)
     else:
         raise ConfigError(f"unknown dataset kind {ds.kind!r}")
     if ds.halves:
@@ -90,15 +89,14 @@ def privacy_params(cfg: ExperimentConfig) -> PrivacyParams | None:
     )
 
 
-def build_parties(cfg: ExperimentConfig, data: DatasetSplits, seed: int | None = None) -> Parties:
+def build_parties(cfg: ExperimentConfig, data: DatasetSplits) -> Parties:
     """Seeded extractors/head plus per-party privacy and adaptive settings.
 
     The head takes the embeddings concatenated in ascending party id order,
     so its input width is the sum of the per-party embedding dims.
     """
-    seed = cfg.seed if seed is None else seed
     config = TrainingConfig(**asdict(cfg.training))
-    root = Rng(seed)
+    root = Rng(cfg.seed)
     privacy = privacy_params(cfg)
     adaptive = AdaptiveConfig(n_clusters=data.train.n_classes, **asdict(cfg.adaptive))
     passives = []
@@ -139,17 +137,12 @@ class RunResult:
     history: TrainingHistory
 
 
-def run_training(
-    cfg: ExperimentConfig,
-    seed: int | None = None,
-    on_round=None,
-) -> RunResult:
+def run_training(cfg: ExperimentConfig, on_round=None) -> RunResult:
     """Build everything from the config and run the full training loop."""
-    seed = cfg.seed if seed is None else seed
-    data = build_dataset(cfg, seed)
-    parties = build_parties(cfg, data, seed)
+    data = build_dataset(cfg)
+    parties = build_parties(cfg, data)
     history = train(
-        parties, data, Rng(seed),
+        parties, data, Rng(cfg.seed),
         evaluate_with_noise=cfg.evaluation.with_noise,
         eval_repeats=cfg.evaluation.repeats,
         on_round=on_round,
@@ -170,10 +163,8 @@ def measure_stage_times(cfg: ExperimentConfig) -> dict[str, float]:
     batch_size = cfg.timing.batch_size or cfg.training.batch_size
     if batch_size > data.train.n_rows:
         raise ConfigError("timing batch size exceeds the training rows")
-    parties = build_parties(cfg, data)
-    for party in parties.passives:
-        party.config = replace(party.config, batch_size=batch_size)
-    parties.active.config = replace(parties.active.config, batch_size=batch_size)
+    timed = replace(cfg, training=replace(cfg.training, batch_size=batch_size))
+    parties = build_parties(timed, data)
     rng = Rng(cfg.seed).split("timing")
     channel = MessageChannel()
     for round_index in range(cfg.timing.rounds):
@@ -194,9 +185,8 @@ class VflVictim:
     deployed inference pipeline to final softmax confidences.
     """
 
-    def __init__(self, parties: Parties, tag: str = "victim"):
+    def __init__(self, parties: Parties):
         self.parties = parties
-        self.tag = tag
 
     def release_embeddings(self, party_id: int, x: np.ndarray, rng: Rng) -> np.ndarray:
         return self._party(party_id).compute_release(x, rng).released
@@ -254,7 +244,7 @@ def _shadow_run(cfg: ExperimentConfig, shadow_index: int, victim_data: DatasetSp
         training=replace(cfg.training, epochs=epochs),
     )
     if carve is None:
-        data = build_dataset(shadow_cfg, shadow_seed)
+        data = build_dataset(shadow_cfg)
     else:
         data = DatasetSplits(
             train=victim_data.test.take(carve[2 * shadow_index], "train"),
@@ -265,10 +255,10 @@ def _shadow_run(cfg: ExperimentConfig, shadow_index: int, victim_data: DatasetSp
             shadow_cfg = replace(
                 shadow_cfg, training=replace(shadow_cfg.training, batch_size=max_batch)
             )
-    parties = build_parties(shadow_cfg, data, shadow_seed)
+    parties = build_parties(shadow_cfg, data)
     # No caller reads a shadow's per-epoch test accuracy.
     train(parties, data, Rng(shadow_seed), evaluate_each_epoch=False)
-    return VflVictim(parties, tag=f"shadow-{shadow_index}"), data
+    return VflVictim(parties), data
 
 
 def run_attack_suite(cfg: ExperimentConfig, victims: dict[str, RunResult],
@@ -291,7 +281,7 @@ def run_attack_suite(cfg: ExperimentConfig, victims: dict[str, RunResult],
     reports = []
     for tag, run in sorted(victims.items()):
         rng = Rng(seed).split("attack", tag)
-        victim = VflVictim(run.parties, tag=tag)
+        victim = VflVictim(run.parties)
         data = run.data
         target = atk.target_party
 
@@ -300,7 +290,7 @@ def run_attack_suite(cfg: ExperimentConfig, victims: dict[str, RunResult],
         # synthetic data, the held-out split otherwise.
         if run.config.dataset.kind == "synthetic":
             attacker_seed = (seed * 2_000_003 + 104_729) % 2**63
-            attacker_data = build_dataset(run.config, attacker_seed)
+            attacker_data = build_dataset(replace(run.config, seed=attacker_seed))
             attacker_pool = np.vstack([
                 attacker_data.train.party_features[target],
                 attacker_data.test.party_features[target],

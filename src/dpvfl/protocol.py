@@ -361,10 +361,7 @@ class ActiveParty:
         timer: StageTimer | None = None,
     ) -> tuple[float, float]:
         """Lines: concatenate, optimize, exchange per-party gradients."""
-        messages = [
-            channel.receive(EMBEDDING_UP, pid, batch_index)
-            for pid in sorted(passive_ids)
-        ]
+        messages = [channel.receive(EMBEDDING_UP, pid, batch_index) for pid in passive_ids]
         with _stage(timer, StageTimer.BASE):
             concat = np.hstack([np.asarray(m.embeddings) for m in messages])
             if concat.shape[1] != self.head.input_dim:
@@ -392,6 +389,12 @@ class ActiveParty:
 
 @dataclass
 class Parties:
+    """The passive parties, kept in ascending party id order, and the active party.
+
+    That order is the head's input layout: training, evaluation and victim
+    queries all concatenate the released embeddings in ``passives`` order.
+    """
+
     passives: tuple[PassiveParty, ...]
     active: ActiveParty
 
@@ -399,6 +402,7 @@ class Parties:
         ids = [p.party_id for p in self.passives]
         if len(set(ids)) != len(ids):
             raise ArgumentError(f"duplicate passive party ids: {ids}")
+        self.passives = tuple(sorted(self.passives, key=lambda p: p.party_id))
 
 
 def sample_aligned_batch(total: int, batch_size: int, rng: Rng) -> np.ndarray:
@@ -446,7 +450,6 @@ def evaluate(
     dataset: VerticalDataset,
     rng: Rng,
     with_noise: bool = True,
-    batch_size: int | None = None,
     repeats: int = 1,
 ) -> float:
     """Accuracy of the joint model on a dataset split.
@@ -471,7 +474,7 @@ def evaluate(
                 f"party {party.party_id} has round {party._trace.batch_index} pending; "
                 "evaluate only between rounds"
             )
-    step = batch_size or parties.active.config.batch_size
+    step = parties.active.config.batch_size
     streams = [rng]
     if repeats > 1 and with_noise:
         streams = [rng.split("repeat", i) for i in range(repeats)]

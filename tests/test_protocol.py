@@ -276,6 +276,20 @@ class TestTrain:
             "party-rounds: fewer than 2 rows retained"
         ]
 
+    def test_passive_order_does_not_change_the_run(self):
+        # The head's input layout is ascending party id, in whatever order
+        # the passive parties are handed over.
+        histories = []
+        for order in (1, -1):
+            cfg, data, parties = build_run(**{
+                "dataset.classes": 4, "training.epochs": 4, "privacy.enabled": False,
+                "adaptive.rescale": False, "adaptive.dist_adjust": False,
+            })
+            parties = Parties(passives=parties.passives[::order], active=parties.active)
+            history = train(parties, data, Rng(cfg.seed))
+            histories.append([(e.train_loss, e.test_accuracy) for e in history.epochs])
+        assert histories[0] == histories[1]
+
     def test_round_callback_sees_every_round(self):
         cfg, data, parties = build_run(**{"training.epochs": 1})
         seen = []
@@ -352,7 +366,7 @@ class TestEvaluate:
         assert evaluate(parties, data.test, rng, repeats=3) == float(np.mean(single))
 
     def test_repeats_share_one_release_per_batch_and_party(self, monkeypatch):
-        cfg, data, parties = build_run()
+        cfg, data, parties = build_run(**{"training.batch_size": 10})
         calls = []
         original = PassiveParty.compute_release
 
@@ -361,7 +375,7 @@ class TestEvaluate:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(PassiveParty, "compute_release", counting)
-        evaluate(parties, data.test, Rng(1), batch_size=10, repeats=3)
+        evaluate(parties, data.test, Rng(1), repeats=3)
         batches = -(-data.test.n_rows // 10)
         assert batches > 1
         assert len(calls) == batches * len(parties.passives)
