@@ -83,6 +83,8 @@ def _resolve_config(args) -> ExperimentConfig:
         cfg = replace(cfg, adaptive=replace(cfg.adaptive, rescale=args.toggle_rescale))
     if args.toggle_distadj is not None:
         cfg = replace(cfg, adaptive=replace(cfg.adaptive, dist_adjust=args.toggle_distadj))
+    if cfg.evaluation.repeats < 1:
+        raise ConfigError(f"evaluation.repeats must be at least 1, got {cfg.evaluation.repeats}")
     return cfg
 
 
@@ -182,17 +184,11 @@ def cmd_attack(args) -> int:
         by_victim.setdefault(report.victim, {})[report.kind] = report
     rows = []
     for tag in sorted(by_victim):
-        inversion = by_victim[tag].get("inversion")
-        mi = by_victim[tag].get("membership_inference")
-        rows.append([
-            tag,
-            None if mi is None else mi.metric,
-            None if inversion is None else inversion.metric,
-        ])
-        print(f"attack: {tag:12s} mi_accuracy="
-              f"{'n/a' if mi is None else f'{mi.metric:.4f}'} "
-              f"inversion_mse="
-              f"{'n/a' if inversion is None else f'{inversion.metric:.6f}'}")
+        # run_attack_suite reports one inversion and one MI result per victim.
+        inversion = by_victim[tag]["inversion"].metric
+        mi = by_victim[tag]["membership_inference"].metric
+        rows.append([tag, mi, inversion])
+        print(f"attack: {tag:12s} mi_accuracy={mi:.4f} inversion_mse={inversion:.6f}")
     runs.write_table_csv(
         run_dir / "attacks.csv",
         ["victim", "mi_accuracy", "inversion_mse"],

@@ -75,6 +75,16 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"dataset.{key} does not apply to a synthetic dataset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("repeats", [0, -3])
+    def test_repeats_below_one_exit_2_before_any_output(self, tmp_path, capsys, repeats):
+        cfg = write_config(tmp_path, **{"evaluation.repeats": repeats})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: evaluation.repeats must be at least 1, got {repeats}\n"
+        )
+        assert not out.exists()
+
     def test_zero_delta_exit_1_names_delta(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"privacy.epsilon": 10.0, "privacy.delta": 0,
                                         "privacy.allow_large_epsilon": True})
