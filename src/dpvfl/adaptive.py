@@ -25,7 +25,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ArgumentError, InsufficientRetainedError
-from .numerics import Rng, as_matrix, pair_indices, pairwise_distances
+from .numerics import Rng, as_matrix, pair_firsts, pair_indices, pairwise_distances
 
 logger = logging.getLogger(__name__)
 
@@ -175,8 +175,8 @@ def kl_surrogate_loss(batch, alpha: float) -> tuple[float, np.ndarray]:
     if alpha == 0.0:
         return 0.0, np.zeros_like(b)
     j_idx, k_idx = pair_indices(n)
-    diffs = b[j_idx]
-    diffs -= b[k_idx]
+    diffs = pair_firsts(b)
+    diffs -= np.take(b, k_idx, axis=0)
     d = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     value, d_grad = _distance_moment_penalty(d)
     _unit_rows_in_place(diffs, d)
@@ -258,14 +258,22 @@ def _lifted_memberships(
     np.multiply(centers, -2.0, out=coeffs[:, :dim])
     coeffs[:, dim] = np.einsum("ij,ij->i", centers, centers)
     d2 = lifted @ coeffs.T
-    if d2.min() <= near:
+    if np.minimum.reduce(d2, axis=None) <= near:
         return _memberships(points, centers, fuzzifier)
     inv = d2 ** (-1.0 / (fuzzifier - 1.0))  # numpy takes ** -1.0 as a reciprocal
-    return inv / inv.sum(axis=1, keepdims=True)
+    return inv / np.add.reduce(inv, axis=1, keepdims=True)
 
 
 def _unique_rows(p: np.ndarray) -> np.ndarray:
-    """The rows of ``np.unique(p, axis=0)``, in its order, by one lexsort."""
+    """The rows of ``np.unique(p, axis=0)``, in its order.
+
+    When the entries of column 0 are pairwise distinct, the rows are
+    distinct too and that column alone orders them, so one argsort does.
+    Any tie there (-0.0 and 0.0 count as one) falls back to a lexsort.
+    """
+    rows = p[np.argsort(p[:, 0])]
+    if (rows[1:, 0] != rows[:-1, 0]).all():
+        return rows
     rows = p[np.lexsort(p.T[::-1])]
     fresh = np.ones(rows.shape[0], dtype=bool)
     fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
@@ -330,21 +338,29 @@ def fcm(
     mean = p.mean(axis=0)
     q = p - mean
     centers = centers - mean
+    dim = q.shape[1]
     sq_norms = np.einsum("ij,ij->i", q, q)
     # [q, 1] also gives every center's weighted sum and mass in one product.
-    lifted = np.column_stack([q, np.ones(n), sq_norms])
+    lifted = np.empty((n, dim + 2))
+    lifted[:, :dim] = q
+    lifted[:, dim] = 1.0
+    lifted[:, dim + 1] = sq_norms
     near = 1e-9 * float(sq_norms.max())
-    coeffs = np.ones((n_clusters, q.shape[1] + 2))
+    coeffs = np.ones((n_clusters, dim + 2))
     u = _memberships(q, centers, fuzzifier)
     for _ in range(max_iter):
         w = u**fuzzifier
         sums = w.T @ lifted[:, :-1]
         mass = sums[:, -1]
-        new_centers = centers.copy()
-        alive = mass > 1e-300
-        new_centers[alive] = sums[alive, :-1] / mass[alive, None]
+        if np.minimum.reduce(mass) > 1e-300:
+            new_centers = sums[:, :-1] / mass[:, None]
+        else:
+            # A dead cluster keeps its center.
+            new_centers = centers.copy()
+            alive = mass > 1e-300
+            new_centers[alive] = sums[alive, :-1] / mass[alive, None]
         step = new_centers - centers
-        movement = math.sqrt(float(np.einsum("ij,ij->i", step, step).max()))
+        movement = math.sqrt(float(np.maximum.reduce(np.einsum("ij,ij->i", step, step))))
         centers = new_centers
         u = _lifted_memberships(lifted, coeffs, q, centers, fuzzifier, near)
         if movement < tol:
@@ -366,7 +382,10 @@ def fcm(
 
 
 def purity(assignment: FuzzyAssignment, true_labels, use_mask: bool = False) -> float:
-    """Fraction of counted samples whose cluster's majority class is theirs."""
+    """Fraction of counted samples whose cluster's majority class is theirs.
+
+    Cluster ids are non-negative indices, as ``fcm`` assigns them.
+    """
     labels = np.asarray(true_labels)
     if labels.shape[0] != assignment.cluster_ids.shape[0]:
         raise ArgumentError(
@@ -381,11 +400,13 @@ def purity(assignment: FuzzyAssignment, true_labels, use_mask: bool = False) -> 
         ids, labels = assignment.cluster_ids[keep], labels[keep]
     else:
         ids = assignment.cluster_ids
-    total = 0
-    for cluster in np.unique(ids):
-        _, counts = np.unique(labels[ids == cluster], return_counts=True)
-        total += int(counts.max())
-    return total / ids.shape[0]
+    # One count per (cluster, label) pair; a cluster id without rows counts 0.
+    label_values, codes = np.unique(labels, return_inverse=True)
+    n_labels = label_values.shape[0]
+    n_ids = int(np.maximum.reduce(ids)) + 1
+    counts = np.bincount(ids * n_labels + codes, minlength=n_ids * n_labels)
+    counts = counts.reshape(n_ids, n_labels)
+    return int(np.add.reduce(np.maximum.reduce(counts, axis=1))) / ids.shape[0]
 
 
 def contrastive_loss(batch, assignment: FuzzyAssignment, beta: float) -> tuple[float, np.ndarray]:
@@ -417,8 +438,8 @@ def contrastive_loss(batch, assignment: FuzzyAssignment, beta: float) -> tuple[f
     if not np.any(cross):
         return 0.0, np.zeros_like(b)
     j_idx, k_idx = j_idx[cross], k_idx[cross]
-    diffs = b[j_idx]
-    diffs -= b[k_idx]
+    diffs = np.take(b, j_idx, axis=0)
+    diffs -= np.take(b, k_idx, axis=0)
     d = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     # Each unordered pair appears twice in the double sum.
     loss = -beta / (n * n) * 2.0 * float(d.sum())

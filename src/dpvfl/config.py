@@ -165,17 +165,62 @@ _ALLOWED = {
 }
 
 
+_SCALARS = {
+    "bool": (bool, "a boolean"),
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, "a string"),
+}
+
+
+def _scalar(value, annotation: str, dotted: str):
+    """``value`` checked against a scalar annotation ``T`` or ``T | None``.
+
+    ``int`` takes integral floats (as ints) but not booleans, ``float``
+    takes ints, and ``bool`` takes only booleans. Other annotations pass
+    the value through. The annotations are strings: this module defers
+    their evaluation.
+    """
+    options = annotation.split(" | ")
+    if value is None and "None" in options:
+        return value
+    if options[0] not in _SCALARS:
+        return value
+    kind, name = _SCALARS[options[0]]
+    if isinstance(value, bool):
+        accepted = kind is bool
+    elif kind is int:
+        accepted = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+        value = int(value) if accepted else value
+    elif kind is float:
+        accepted = isinstance(value, (int, float))
+    else:
+        accepted = isinstance(value, kind)
+    if not accepted:
+        expected = name + (" or null" if len(options) > 1 else "")
+        raise ConfigError(f"{dotted} must be {expected}, got {value!r}")
+    return value
+
+
+def _typed(cls, values: dict, path: str) -> dict:
+    annotations = {f.name: f.type for f in fields(cls)}
+    return {
+        key: _scalar(value, annotations[key], f"{path}.{key}" if path else key)
+        for key, value in values.items()
+    }
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(raw, "")
     kwargs = {}
-    for key, value in raw.items():
+    for key, value in _typed(ExperimentConfig, raw, "").items():
         if key in _SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {key!r} must be an object")
             try:
-                kwargs[key] = _SECTIONS[key](**value)
+                kwargs[key] = _SECTIONS[key](**_typed(_SECTIONS[key], value, key))
             except TypeError as exc:
                 raise ConfigError(f"bad {key} section: {exc}") from exc
         else:

@@ -146,20 +146,22 @@ class DenseNet:
                 f"upstream shape {da.shape} does not match output "
                 f"({inputs[0].shape[0]}, {self.output_dim})"
             )
+        last = len(self.layers) - 1
         grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
-        for i in range(len(self.layers) - 1, -1, -1):
+        for i in range(last, -1, -1):
             layer = self.layers[i]
             if layer.activation == "identity":
                 dz = da
             elif layer.activation == "relu":
                 dz = da * (zs[i] > 0.0)
             elif layer.activation == "tanh":
-                a = np.tanh(zs[i])
+                # The activation forward cached: the next layer's input.
+                a = final if i == last else inputs[i + 1]
                 dz = da * (1.0 - a * a)
             else:  # softmax (final layer only)
                 p = final
                 dz = p * (da - np.einsum("ij,ij->i", da, p)[:, None])
-            grads[i] = (inputs[i].T @ dz, dz.sum(axis=0))
+            grads[i] = (inputs[i].T @ dz, np.add.reduce(dz, axis=0))
             da = dz @ layer.weights.T
         return grads, da
 

@@ -114,6 +114,15 @@ def memberships_reference(points, centers, fuzzifier):
     return u
 
 
+def purity_reference(ids, labels):
+    """One np.unique count per cluster."""
+    total = 0
+    for cluster in np.unique(ids):
+        _, counts = np.unique(labels[ids == cluster], return_counts=True)
+        total += int(counts.max())
+    return total / ids.shape[0]
+
+
 def fcm_reference(p, n_clusters, rng, fuzzifier=2.0, max_iter=100, tol=1e-5):
     n = p.shape[0]
     unique_rows = np.unique(p, axis=0)
@@ -429,6 +438,56 @@ class TestFcm:
         points = fcm_batch(n, case)
         assert np.array_equal(_unique_rows(points), np.unique(points, axis=0))
 
+    @pytest.mark.parametrize("case", ["distinct", "tied", "signed_zero", "duplicate_row"])
+    def test_unique_rows_column_zero_ties(self, case):
+        # Distinct column-0 entries take the argsort; any tie, -0.0 against
+        # 0.0 included, takes the lexsort, which orders by the later columns.
+        points = Rng(21).normal(0, 1, (30, 4))
+        if case == "tied":
+            points[[3, 9, 17], 0] = points[5, 0]
+        elif case == "signed_zero":
+            points[4, 0], points[11, 0] = -0.0, 0.0
+            points[4, 1], points[11, 1] = 1.0, -1.0
+        elif case == "duplicate_row":
+            points[12] = points[2]
+        assert np.array_equal(_unique_rows(points), np.unique(points, axis=0))
+
+    def test_dead_cluster_keeps_its_center(self, monkeypatch):
+        # Every center starts on a row that gives it mass, so no batch kills
+        # a cluster by itself: the first memberships are replaced by ones in
+        # which the last cluster holds nothing, for fcm and the reference.
+        def starving(memberships):
+            calls = []
+
+            def first_starved(points, centers, fuzzifier):
+                u = memberships(points, centers, fuzzifier)
+                if not calls:
+                    u[:, -1] = 0.0
+                    u[u.sum(axis=1) == 0.0, :-1] = 1.0  # the rows on the last center
+                    u /= u.sum(axis=1, keepdims=True)
+                calls.append(1)
+                return u
+            return first_starved
+
+        points = fcm_batch(60, "plain")
+        monkeypatch.setattr(adaptive, "_memberships", starving(_memberships))
+        monkeypatch.setitem(globals(), "memberships_reference",
+                            starving(memberships_reference))
+        assignment, centers = fcm(points, 3, rng=Rng(11))
+        ids, confidences, u, ref_centers, _ = fcm_reference(points, 3, Rng(11))
+        assert np.array_equal(assignment.cluster_ids, ids)
+        assert np.array_equal(assignment.filtered(0.8).retained_mask, confidences >= 0.8)
+        npt.assert_allclose(assignment.memberships, u, rtol=0, atol=FCM_TOLERANCE)
+        npt.assert_allclose(centers, ref_centers, rtol=0, atol=FCM_TOLERANCE)
+
+        # After one update the starved cluster still sits on its first center.
+        monkeypatch.setattr(adaptive, "_memberships", starving(_memberships))
+        _, one_step = fcm(points, 3, max_iter=1, rng=Rng(11))
+        start = np.unique(points, axis=0)[Rng(11).choice(60, size=3, replace=False)]
+        mean = points.mean(axis=0)
+        assert np.array_equal(one_step[-1], (start[-1] - mean) + mean)
+        assert not np.array_equal(one_step[:-1], (start[:-1] - mean) + mean)
+
     def test_lone_outlier_matches_reference(self, monkeypatch):
         # One far row pulls a center to within 1e-9 max|q|^2 of itself, so
         # updates after the first one also take the exact path.
@@ -551,6 +610,24 @@ class TestPurityAndFiltering:
                     counts[l] = counts.get(l, 0) + 1
             expected += max(counts.values())
         assert purity(assignment, labels) == expected / 100
+
+    @pytest.mark.parametrize("use_mask", [False, True])
+    def test_bit_equal_to_per_cluster_unique(self, use_mask):
+        # Cluster 2 has no rows, label 7 never occurs, and with the mask
+        # label 3 occurs only in filtered-out rows.
+        rng = Rng(12)
+        ids = np.asarray(rng.integers(0, 4, size=80))
+        ids[ids == 2] = 3
+        labels = np.asarray(rng.choice(np.array([0, 1, 5, 9]), size=80, replace=True))
+        labels[::10] = 3
+        mask = np.ones(80, dtype=bool)
+        if use_mask:
+            mask[::10] = False
+            mask[1::7] = False
+        assignment = FuzzyAssignment(cluster_ids=ids, confidences=np.ones(80),
+                                     retained_mask=mask)
+        expected = purity_reference(ids[mask], labels[mask])
+        assert purity(assignment, labels, use_mask=use_mask) == expected
 
     def test_empty_mask_raises(self):
         assignment = FuzzyAssignment(

@@ -85,6 +85,18 @@ class TestTrainCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("dotted, value, message", [
+        ("evaluation.repeats", 2.5, "evaluation.repeats must be an integer, got 2.5"),
+        ("training.epochs", "1", "training.epochs must be an integer, got '1'"),
+    ])
+    def test_mistyped_value_exit_2_before_any_output(self, tmp_path, capsys, dotted, value,
+                                                     message):
+        cfg = write_config(tmp_path, **{dotted: value})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_zero_delta_exit_1_names_delta(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"privacy.epsilon": 10.0, "privacy.delta": 0,
                                         "privacy.allow_large_epsilon": True})

@@ -66,6 +66,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config key: dataset.columns.unit"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("dotted, value, expected", [
+        ("seed", True, "seed must be an integer, got True"),
+        ("training.epochs", 2.5, "training.epochs must be an integer, got 2.5"),
+        ("training.epochs", "1", "training.epochs must be an integer, got '1'"),
+        ("training.learning_rate", "0.1", "training.learning_rate must be a number, got '0.1'"),
+        ("training.learning_rate", False, "training.learning_rate must be a number, got False"),
+        ("privacy.enabled", 1, "privacy.enabled must be a boolean, got 1"),
+        ("privacy.sigma_override", "2", "privacy.sigma_override must be a number or null, got '2'"),
+        ("dataset.limit", 1.5, "dataset.limit must be an integer or null, got 1.5"),
+        ("model.activation", 3, "model.activation must be a string, got 3"),
+    ])
+    def test_mistyped_scalar_named(self, dotted, value, expected):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(tiny_raw(**{dotted: value}))
+        assert str(excinfo.value) == expected
+
+    def test_scalar_types_accepted(self):
+        cfg = parse_config(tiny_raw(**{
+            "training.epochs": 3.0, "training.learning_rate": 1,
+            "privacy.sigma_override": None, "dataset.limit": None,
+        }))
+        assert cfg.training.epochs == 3 and type(cfg.training.epochs) is int
+        assert cfg.training.learning_rate == 1
+        assert cfg.privacy.sigma_override is None and cfg.dataset.limit is None
+
     def test_round_trips_through_json(self, tmp_path):
         cfg = parse_config(tiny_raw())
         path = tmp_path / "cfg.json"

@@ -20,6 +20,44 @@ from dpvfl.numerics import Rng, pairwise_distances
 from conftest import central_difference, relative_error
 
 
+def clip_norm_reference(batch, t):
+    """clip_norm with its row norms from np.linalg.norm."""
+    norms = np.linalg.norm(batch, axis=1)
+    scale = np.ones_like(norms)
+    over = norms > t
+    scale[over] = t / norms[over]
+    clipped = batch * scale[:, None]
+    for _ in range(8):
+        norms = np.linalg.norm(clipped, axis=1)
+        over = norms > t
+        if not np.any(over):
+            return clipped
+        clipped[over] *= (t / norms[over])[:, None]
+    raise AssertionError("reference clip did not converge")
+
+
+def clip_norm_vjp_reference(batch, t, upstream):
+    norms = np.linalg.norm(batch, axis=1)
+    out = upstream.copy()
+    over = norms > t
+    if np.any(over):
+        h = batch[over]
+        n = norms[over][:, None]
+        unit = h / n
+        radial = np.einsum("ij,ij->i", upstream[over], unit)[:, None]
+        out[over] = (t / n) * (upstream[over] - radial * unit)
+    return out
+
+
+def straddling_batch(t):
+    """Rows below, exactly at and above norm ``t``: (3, 4) has norm 5 exactly."""
+    batch = Rng(17).normal(0, t, (40, 4))
+    batch[0] = [0.6 * t, 0.8 * t, 0.0, 0.0]
+    batch[1] = [3.0, 4.0, 0.0, 0.0]
+    batch[2] = 0.0
+    return batch
+
+
 def params_for(epsilon=0.5, delta=1e-2, t=1.0, **kw):
     return PrivacyParams.from_budget(epsilon, delta, t, **kw)
 
@@ -120,6 +158,14 @@ class TestClipNorm:
                                     orig / n, atol=1e-9)
 
 
+    @pytest.mark.parametrize("t", [0.5, 1.0, 5.0])
+    def test_bit_equal_to_linalg_norm_reference(self, t):
+        batch = straddling_batch(t)
+        norms = np.linalg.norm(batch, axis=1)
+        assert np.any(norms < t) and np.any(norms == t) and np.any(norms > t)
+        assert np.array_equal(clip_norm(batch, t), clip_norm_reference(batch, t))
+
+
 class TestClipNormVjp:
     def test_matches_finite_differences(self):
         rng = Rng(21)
@@ -133,6 +179,13 @@ class TestClipNormVjp:
         numeric = central_difference(scalar, batch)
         analytic = clip_norm_vjp(batch, t, upstream)
         assert relative_error(analytic, numeric) < 1e-4
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 5.0])
+    def test_bit_equal_to_linalg_norm_reference(self, t):
+        batch = straddling_batch(t)
+        upstream = Rng(18).normal(0, 1, batch.shape)
+        assert np.array_equal(clip_norm_vjp(batch, t, upstream),
+                              clip_norm_vjp_reference(batch, t, upstream))
 
     def test_identity_inside_ball(self):
         batch = np.full((3, 2), 0.1)

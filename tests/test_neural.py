@@ -13,6 +13,7 @@ from dpvfl.neural import (
     load_checkpoint,
     save_checkpoint,
     sgd_step,
+    softmax,
     squared_error,
 )
 from dpvfl.numerics import Rng
@@ -39,6 +40,32 @@ def set_params(net, flat):
         b_size = layer.bias.size
         layer.bias[...] = flat[pos:pos + b_size]
         pos += b_size
+
+
+def backward_reference(net, x, upstream):
+    """Backpropagation that recomputes every activation from its pre-activation."""
+    inputs, zs, a = [], [], x
+    for layer in net.layers:
+        inputs.append(a)
+        z = a @ layer.weights + layer.bias
+        zs.append(z)
+        a = {"identity": lambda v: v, "relu": lambda v: np.maximum(v, 0.0),
+             "tanh": np.tanh, "softmax": softmax}[layer.activation](z)
+    grads, da = [None] * len(net.layers), upstream
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        if layer.activation == "identity":
+            dz = da
+        elif layer.activation == "relu":
+            dz = da * (zs[i] > 0.0)
+        elif layer.activation == "tanh":
+            t = np.tanh(zs[i])
+            dz = da * (1.0 - t * t)
+        else:
+            dz = a * (da - np.einsum("ij,ij->i", da, a)[:, None])
+        grads[i] = (inputs[i].T @ dz, dz.sum(axis=0))
+        da = dz @ layer.weights.T
+    return grads, da
 
 
 class TestForward:
@@ -157,6 +184,20 @@ class TestBackward:
         _, input_grad = net.backward(upstream)
         numeric = central_difference(loss_at, x.ravel(), step=1e-5).reshape(5, 4)
         assert relative_error(input_grad, numeric) < 1e-4
+
+    @pytest.mark.parametrize("activations", [
+        ["tanh", "tanh", "identity"], ["relu", "tanh", "tanh"], ["tanh", "identity", "softmax"],
+    ])
+    def test_bit_equal_to_recomputing_reference(self, activations):
+        net = make_net([5, 8, 6, 3], activations, seed=31)
+        x = Rng(32).normal(0, 1, (12, 5))
+        upstream = Rng(33).normal(0, 1, (12, 3))
+        net.forward(x)
+        grads, input_grad = net.backward(upstream)
+        ref_grads, ref_input_grad = backward_reference(net, x, upstream)
+        for (dw, db), (ref_dw, ref_db) in zip(grads, ref_grads):
+            assert np.array_equal(dw, ref_dw) and np.array_equal(db, ref_db)
+        assert np.array_equal(input_grad, ref_input_grad)
 
     def test_backward_consumes_cache(self):
         net = make_net([2, 2], ["identity"])

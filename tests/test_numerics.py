@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from dpvfl.errors import ArgumentError
 from dpvfl.numerics import (
     Rng,
+    pair_firsts,
+    pair_indices,
     pairwise_distances,
 )
 
@@ -81,6 +83,19 @@ class TestPairwiseDistances:
         d = pairwise_distances(batch)
         assert np.array_equal(d, per_row_distances(batch))
         assert np.count_nonzero(d == 0.0) == int(duplicate)
+
+    @pytest.mark.parametrize("n", [2, 3, 60, 100])
+    def test_bit_equal_to_triu_gather(self, n):
+        batch = Rng(n).normal(0, 1, (n, 16))
+        j_idx, k_idx = np.triu_indices(n, k=1)
+        diff = batch[k_idx] - batch[j_idx]
+        assert np.array_equal(pairwise_distances(batch),
+                              np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+
+    @pytest.mark.parametrize("n", [2, 3, 60])
+    def test_pair_firsts_is_the_j_gather(self, n):
+        batch = Rng(n).normal(0, 1, (n, 5))
+        assert np.array_equal(pair_firsts(batch), batch[pair_indices(n)[0]])
 
     @settings(max_examples=50)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
