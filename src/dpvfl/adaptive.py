@@ -258,10 +258,10 @@ def _lifted_memberships(
     np.multiply(centers, -2.0, out=coeffs[:, :dim])
     coeffs[:, dim] = np.einsum("ij,ij->i", centers, centers)
     d2 = lifted @ coeffs.T
-    if np.minimum.reduce(d2, axis=None) <= near:
+    if d2.min() <= near:
         return _memberships(points, centers, fuzzifier)
     inv = d2 ** (-1.0 / (fuzzifier - 1.0))  # numpy takes ** -1.0 as a reciprocal
-    return inv / np.add.reduce(inv, axis=1, keepdims=True)
+    return inv / inv.sum(axis=1, keepdims=True)
 
 
 def _unique_rows(p: np.ndarray) -> np.ndarray:
@@ -352,15 +352,11 @@ def fcm(
         w = u**fuzzifier
         sums = w.T @ lifted[:, :-1]
         mass = sums[:, -1]
-        if np.minimum.reduce(mass) > 1e-300:
-            new_centers = sums[:, :-1] / mass[:, None]
-        else:
-            # A dead cluster keeps its center.
-            new_centers = centers.copy()
-            alive = mass > 1e-300
-            new_centers[alive] = sums[alive, :-1] / mass[alive, None]
+        # A dead cluster keeps its center.
+        new_centers = np.divide(sums[:, :-1], mass[:, None], out=centers.copy(),
+                                where=(mass > 1e-300)[:, None])
         step = new_centers - centers
-        movement = math.sqrt(float(np.maximum.reduce(np.einsum("ij,ij->i", step, step))))
+        movement = math.sqrt(float(np.einsum("ij,ij->i", step, step).max()))
         centers = new_centers
         u = _lifted_memberships(lifted, coeffs, q, centers, fuzzifier, near)
         if movement < tol:
@@ -403,10 +399,10 @@ def purity(assignment: FuzzyAssignment, true_labels, use_mask: bool = False) -> 
     # One count per (cluster, label) pair; a cluster id without rows counts 0.
     label_values, codes = np.unique(labels, return_inverse=True)
     n_labels = label_values.shape[0]
-    n_ids = int(np.maximum.reduce(ids)) + 1
+    n_ids = int(ids.max()) + 1
     counts = np.bincount(ids * n_labels + codes, minlength=n_ids * n_labels)
     counts = counts.reshape(n_ids, n_labels)
-    return int(np.add.reduce(np.maximum.reduce(counts, axis=1))) / ids.shape[0]
+    return int(counts.max(axis=1).sum()) / ids.shape[0]
 
 
 def contrastive_loss(batch, assignment: FuzzyAssignment, beta: float) -> tuple[float, np.ndarray]:
@@ -438,8 +434,8 @@ def contrastive_loss(batch, assignment: FuzzyAssignment, beta: float) -> tuple[f
     if not np.any(cross):
         return 0.0, np.zeros_like(b)
     j_idx, k_idx = j_idx[cross], k_idx[cross]
-    diffs = np.take(b, j_idx, axis=0)
-    diffs -= np.take(b, k_idx, axis=0)
+    diffs = b[j_idx]
+    diffs -= b[k_idx]
     d = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     # Each unordered pair appears twice in the double sum.
     loss = -beta / (n * n) * 2.0 * float(d.sum())

@@ -108,7 +108,11 @@ class DenseNet:
         ])
 
     def forward(self, x) -> np.ndarray:
-        """Run the batch through all layers, caching for a later backward."""
+        """Run the batch through all layers, caching for a later backward.
+
+        The returned array is the cached last activation, which ``backward``
+        reads: do not change it in place before then.
+        """
         a = as_matrix(x, "input")
         if a.shape[1] != self.input_dim:
             raise ArgumentError(
@@ -161,7 +165,7 @@ class DenseNet:
             else:  # softmax (final layer only)
                 p = final
                 dz = p * (da - np.einsum("ij,ij->i", da, p)[:, None])
-            grads[i] = (inputs[i].T @ dz, np.add.reduce(dz, axis=0))
+            grads[i] = (inputs[i].T @ dz, dz.sum(axis=0))
             da = dz @ layer.weights.T
         return grads, da
 

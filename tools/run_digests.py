@@ -1,7 +1,6 @@
-"""sha256 of every artefact of one seed's run matrix, written as one JSON.
+"""sha256 of every artefact of the seed-7 run matrix, written as one JSON.
 
     python3 tools/run_digests.py --out digests.json
-    python3 tools/run_digests.py --seed 7 --out digests.json
 
 The script runs the ``dpvfl`` CLI of the checkout it sits in (its ``src`` on
 ``PYTHONPATH``, BLAS pinned to one thread) in a temporary directory:
@@ -12,7 +11,7 @@ The script runs the ``dpvfl`` CLI of the checkout it sits in (its ``src`` on
   then ``attack`` on them;
 - ``ablate configs/attack_victim.json``.
 
-Every command gets ``--seed``. The JSON maps each file the commands wrote,
+Every command gets ``--seed 7``. The JSON maps each file the commands wrote,
 by its path inside the temporary directory, to its sha256; ``summary.json``
 of a training is hashed without its ``runtime_seconds``. Two checkouts that
 behave the same write identical JSON, so comparing the files of a parent
@@ -31,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 7
 UTILITY = ROOT / "configs" / "utility.json"
 ATTACK = ROOT / "configs" / "attack_victim.json"
 VANILLA = ["--toggle-rescale", "false", "--toggle-distadj", "false"]
@@ -38,7 +38,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def commands(seed: int, work: Path) -> list[list[str]]:
+def commands(work: Path) -> list[list[str]]:
     unprotected = work / "unprotected.json"
     raw = json.loads(ATTACK.read_text(encoding="utf-8"))
     raw["privacy"]["enabled"] = False
@@ -46,7 +46,7 @@ def commands(seed: int, work: Path) -> list[list[str]]:
     victims = work / "victims"
 
     def call(command, config, out, *extra):
-        return [command, "--config", str(config), "--seed", str(seed),
+        return [command, "--config", str(config), "--seed", str(SEED),
                 "--out", str(work / out), *extra]
 
     return [
@@ -69,11 +69,11 @@ def digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_matrix(seed: int) -> dict:
+def run_matrix() -> dict:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **dict.fromkeys(THREAD_VARS, "1")}
     with tempfile.TemporaryDirectory(prefix="run_digests-") as tmp:
         work = Path(tmp)
-        for argv in commands(seed, work):
+        for argv in commands(work):
             done = subprocess.run([sys.executable, "-m", "dpvfl.cli", *argv], cwd=work,
                                   env=env, capture_output=True, text=True)
             if done.returncode != 0:
@@ -86,15 +86,14 @@ def run_matrix(seed: int) -> dict:
             for path in sorted(work.rglob("*"))
             if path.is_file() and path.name != "unprotected.json"
         }
-    return {"seed": seed, "artefacts": artefacts}
+    return {"seed": SEED, "artefacts": artefacts}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", default=None, help="JSON file (default: standard output)")
     args = parser.parse_args(argv)
-    text = json.dumps(run_matrix(args.seed), indent=1, sort_keys=True) + "\n"
+    text = json.dumps(run_matrix(), indent=1, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
