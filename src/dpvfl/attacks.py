@@ -16,11 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import AttackConfig, TrainingSection
 from .errors import ArgumentError
-from .neural import DenseNet, TrainingConfig, cross_entropy_softmax, sgd_step, squared_error
+from .neural import DenseNet, cross_entropy_softmax, sgd_step, squared_error
 from .numerics import Rng
 
 logger = logging.getLogger(__name__)
+
+# Rows per decoder SGD step.
+DECODER_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -32,15 +36,6 @@ class AttackReport:
     failed_trials: int
     seed: int
     details: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class InversionConfig:
-    epochs: int = 60
-    learning_rate: float = 0.05
-    batch_size: int = 32
-    hidden: tuple[int, ...] | None = None  # None -> mirror the extractor
-    trials: int = 1
 
 
 @dataclass
@@ -59,7 +54,7 @@ def _fit_decoder(
     release_fn,
     attacker_features: np.ndarray,
     decoder_dims: list[int],
-    config: InversionConfig,
+    config: AttackConfig,
     rng: Rng,
 ) -> _Decoder | None:
     """Train one decoder on (released embedding, raw feature) pairs.
@@ -77,12 +72,12 @@ def _fit_decoder(
     mean = calibration.mean(axis=0)
     std = np.maximum(calibration.std(axis=0), 1e-9)
     n = attacker_features.shape[0]
-    batch = min(config.batch_size, n)
-    sgd = TrainingConfig(
-        learning_rate=config.learning_rate, batch_size=max(batch, 2), epochs=1
+    batch = min(DECODER_BATCH, n)
+    sgd = TrainingSection(
+        learning_rate=config.decoder_lr, batch_size=max(batch, 2), epochs=1, weight_decay=0.0
     )
     order_rng = rng.split("order")
-    for epoch in range(config.epochs):
+    for epoch in range(config.decoder_epochs):
         # Unlimited query access: re-query each epoch so the decoder sees
         # fresh noise draws and learns the conditional mean.
         released = (release_fn(attacker_features, rng.split("query", epoch)) - mean) / std
@@ -106,14 +101,16 @@ def inversion_attack(
     extractor_dims: list[int],
     attacker_features: np.ndarray,
     holdout_features: np.ndarray,
-    config: InversionConfig,
+    config: AttackConfig,
     rng: Rng,
     victim_tag: str = "victim",
 ) -> AttackReport:
     """Train a mirror-architecture decoder and report reconstruction MSE.
 
     ``release_fn(x, rng)`` must return the victim's released embeddings for
-    raw features ``x``. The decoder reverses the extractor's layer widths.
+    raw features ``x``. The decoder reverses the extractor's layer widths,
+    unless ``config.decoder_hidden`` names its hidden widths (an empty list
+    also mirrors the extractor).
     The metric is the mean per-feature squared error reconstructing the
     victim's held-out rows from their released embeddings.
     """
@@ -123,8 +120,8 @@ def inversion_attack(
         raise ArgumentError("inversion needs a non-empty attacker dataset")
     if config.trials < 1:
         raise ArgumentError("need at least one trial")
-    if config.hidden is not None:
-        decoder_dims = [extractor_dims[-1], *config.hidden, extractor_dims[0]]
+    if config.decoder_hidden:
+        decoder_dims = [extractor_dims[-1], *config.decoder_hidden, extractor_dims[0]]
     else:
         decoder_dims = list(reversed(extractor_dims))
 
@@ -153,17 +150,6 @@ def inversion_attack(
     )
 
 
-@dataclass(frozen=True)
-class MembershipConfig:
-    n_shadows: int = 4
-    attack_hidden: int = 16
-    attack_epochs: int = 200
-    attack_lr: float = 0.05
-    # Sorting makes prediction vectors class-agnostic; the embedding-level
-    # variant keeps raw coordinates.
-    sort_features: bool = True
-
-
 def _confidence_features(probs: np.ndarray, sort: bool = True) -> np.ndarray:
     """Attack features from a victim observation (sorted descending by default)."""
     arr = np.asarray(probs, dtype=np.float64)
@@ -175,7 +161,7 @@ def membership_inference(
     member_inputs,
     nonmember_inputs,
     shadow_factory,
-    config: MembershipConfig,
+    config: AttackConfig,
     rng: Rng,
     victim_tag: str = "victim",
 ) -> AttackReport:
@@ -187,15 +173,18 @@ def membership_inference(
     hidden-layer member/non-member classifier, which is then scored on the
     true victim's balanced member/non-member sets.
     """
-    if config.n_shadows < 2:
-        raise ArgumentError(f"need at least 2 shadow models, got {config.n_shadows}")
+    if config.shadows < 2:
+        raise ArgumentError(f"need at least 2 shadow models, got {config.shadows}")
+    # Sorting makes prediction vectors class-agnostic; the embedding-level
+    # variant keeps raw coordinates.
+    sort_features = config.level != "embedding"
 
     features, labels = [], []
-    for i in range(config.n_shadows):
+    for i in range(config.shadows):
         conf_fn, in_inputs, out_inputs = shadow_factory(i, rng.split("shadow", i))
         for inputs, is_member in ((in_inputs, 1), (out_inputs, 0)):
             probs = conf_fn(inputs, rng.split("shadow-query", i, is_member))
-            features.append(_confidence_features(probs, config.sort_features))
+            features.append(_confidence_features(probs, sort_features))
             labels.append(np.full(probs.shape[0], is_member, dtype=np.int64))
     x = np.vstack(features)
     y = np.concatenate(labels)
@@ -204,8 +193,9 @@ def membership_inference(
         [x.shape[1], config.attack_hidden, 2], ["relu", "identity"],
         rng.split("attack-init"),
     )
-    sgd = TrainingConfig(
-        learning_rate=config.attack_lr, batch_size=max(2, min(64, x.shape[0])), epochs=1
+    sgd = TrainingSection(
+        learning_rate=config.attack_lr, batch_size=max(2, min(64, x.shape[0])), epochs=1,
+        weight_decay=0.0,
     )
     order_rng = rng.split("attack-order")
     for _ in range(config.attack_epochs):
@@ -226,8 +216,8 @@ def membership_inference(
             f"vs {nonmember_probs.shape[0]} non-members"
         )
     eval_x = np.vstack([
-        _confidence_features(member_probs, config.sort_features),
-        _confidence_features(nonmember_probs, config.sort_features),
+        _confidence_features(member_probs, sort_features),
+        _confidence_features(nonmember_probs, sort_features),
     ])
     eval_y = np.concatenate([
         np.ones(member_probs.shape[0], dtype=np.int64),
@@ -239,7 +229,7 @@ def membership_inference(
         kind="membership_inference",
         victim=victim_tag,
         metric=accuracy,
-        trials=config.n_shadows,
+        trials=config.shadows,
         failed_trials=0,
         seed=rng.seed,
         details={

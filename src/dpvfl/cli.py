@@ -83,8 +83,6 @@ def _resolve_config(args) -> ExperimentConfig:
         cfg = replace(cfg, adaptive=replace(cfg.adaptive, rescale=args.toggle_rescale))
     if args.toggle_distadj is not None:
         cfg = replace(cfg, adaptive=replace(cfg.adaptive, dist_adjust=args.toggle_distadj))
-    if cfg.evaluation.repeats < 1:
-        raise ConfigError(f"evaluation.repeats must be at least 1, got {cfg.evaluation.repeats}")
     return cfg
 
 

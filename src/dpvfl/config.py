@@ -1,8 +1,11 @@
 """Experiment configuration: JSON schema, strict parsing, resolution.
 
 Configs are plain JSON objects. Parsing is strict: any key outside the
-documented schema aborts with a :class:`ConfigError` naming the offending
-dotted path, which the CLI maps to exit code 2.
+documented schema, a value of the wrong type, or a value a section's own
+checks refuse aborts with a :class:`ConfigError` naming the offending
+dotted path, which the CLI maps to exit code 2. The section dataclasses
+are the only settings records: the protocol, the networks, the attack
+harness and the data builders read them directly.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ def _check_keys(obj, path: str):
                 _check_keys(item, child)
 
 
+def _require(ok: bool, dotted: str, rule: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{dotted} {rule}, got {value!r}")
+
+
 @dataclass
 class DatasetConfig:
     kind: str = "synthetic"
@@ -52,6 +60,29 @@ class DatasetConfig:
     parties: int = 2
     test_fraction: float = 0.2
 
+    def __post_init__(self):
+        if self.kind == "synthetic":
+            for key in ("halves", "limit"):
+                if getattr(self, key) is not None:
+                    raise ConfigError(f"dataset.{key} does not apply to a synthetic dataset")
+            _require(self.classes >= 2, "dataset.classes", "must be at least 2", self.classes)
+            # One basis-vector mean per class.
+            _require(self.dim >= self.classes, "dataset.dim",
+                     f"must be at least dataset.classes ({self.classes})", self.dim)
+            _require(self.per_class >= 2, "dataset.per_class", "must be at least 2",
+                     self.per_class)
+            _require(self.spread >= 0, "dataset.spread", "must be non-negative", self.spread)
+        elif self.kind == "csv":
+            if not self.path or not self.columns:
+                raise ConfigError("csv dataset needs 'path' and 'columns'")
+        elif self.kind == "idx":
+            if not self.images or not self.labels:
+                raise ConfigError("idx dataset needs 'images' and 'labels'")
+        else:
+            raise ConfigError(
+                f"unknown dataset kind {self.kind!r} (dataset.kind takes synthetic, csv or idx)"
+            )
+
 
 @dataclass
 class ModelConfig:
@@ -67,8 +98,17 @@ class TrainingSection:
     batch_size: int = 64
     epochs: int = 5
     weight_decay: float = 1e-4
-    alpha: float = 0.1
-    beta: float = 1.0
+    alpha: float = 0.1  # weight of the distance-distribution (KL surrogate) loss
+    beta: float = 1.0   # weight of the contrastive adjustment loss
+
+    def __post_init__(self):
+        _require(self.learning_rate > 0, "training.learning_rate", "must be positive",
+                 self.learning_rate)
+        _require(self.weight_decay >= 0, "training.weight_decay", "must be non-negative",
+                 self.weight_decay)
+        _require(self.batch_size >= 2, "training.batch_size", "must be at least 2",
+                 self.batch_size)
+        _require(self.epochs >= 0, "training.epochs", "must be non-negative", self.epochs)
 
 
 @dataclass
@@ -95,6 +135,9 @@ class EvaluationConfig:
     with_noise: bool = True
     repeats: int = 1
 
+    def __post_init__(self):
+        _require(self.repeats >= 1, "evaluation.repeats", "must be at least 1", self.repeats)
+
 
 @dataclass
 class AttackConfig:
@@ -111,6 +154,14 @@ class AttackConfig:
     target_party: int = 0
     trials: int = 1
 
+    def __post_init__(self):
+        # These feed the decoder's, the attack model's and the shadows' training.
+        _require(self.decoder_lr > 0, "attack.decoder_lr", "must be positive", self.decoder_lr)
+        _require(self.attack_lr > 0, "attack.attack_lr", "must be positive", self.attack_lr)
+        if self.shadow_epochs is not None:
+            _require(self.shadow_epochs >= 0, "attack.shadow_epochs", "must be non-negative",
+                     self.shadow_epochs)
+
 
 @dataclass
 class AblateConfig:
@@ -121,6 +172,11 @@ class AblateConfig:
 class TimingConfig:
     rounds: int = 30
     batch_size: int | None = None
+
+    def __post_init__(self):
+        if self.batch_size is not None:
+            _require(self.batch_size >= 2, "timing.batch_size", "must be at least 2",
+                     self.batch_size)
 
 
 @dataclass
@@ -165,28 +221,34 @@ _ALLOWED = {
 }
 
 
-_SCALARS = {
+_KINDS = {
     "bool": (bool, "a boolean"),
     "int": (int, "an integer"),
     "float": (float, "a number"),
     "str": (str, "a string"),
+    "dict": (dict, "an object"),
 }
 
 
-def _scalar(value, annotation: str, dotted: str):
-    """``value`` checked against a scalar annotation ``T`` or ``T | None``.
+def _checked(value, annotation: str, dotted: str):
+    """``value`` checked against an annotation ``T`` or ``T | None``.
 
-    ``int`` takes integral floats (as ints) but not booleans, ``float``
-    takes ints, and ``bool`` takes only booleans. Other annotations pass
-    the value through. The annotations are strings: this module defers
-    their evaluation.
+    ``T`` is a scalar, ``dict`` or ``list[U]``, whose items are checked
+    against ``U`` under ``dotted[i]``. ``int`` takes integral floats (as
+    ints) but not booleans, ``float`` takes ints, and ``bool`` takes only
+    booleans. Other annotations (the sections) pass the value through. The
+    annotations are strings: this module defers their evaluation.
     """
     options = annotation.split(" | ")
     if value is None and "None" in options:
         return value
-    if options[0] not in _SCALARS:
+    kind_name = options[0]
+    if kind_name.startswith("list["):
+        kind, name = list, "a list"
+    elif kind_name in _KINDS:
+        kind, name = _KINDS[kind_name]
+    else:
         return value
-    kind, name = _SCALARS[options[0]]
     if isinstance(value, bool):
         accepted = kind is bool
     elif kind is int:
@@ -199,13 +261,16 @@ def _scalar(value, annotation: str, dotted: str):
     if not accepted:
         expected = name + (" or null" if len(options) > 1 else "")
         raise ConfigError(f"{dotted} must be {expected}, got {value!r}")
+    if kind is list:
+        item = kind_name[len("list["):-1]
+        value = [_checked(v, item, f"{dotted}[{i}]") for i, v in enumerate(value)]
     return value
 
 
 def _typed(cls, values: dict, path: str) -> dict:
     annotations = {f.name: f.type for f in fields(cls)}
     return {
-        key: _scalar(value, annotations[key], f"{path}.{key}" if path else key)
+        key: _checked(value, annotations[key], f"{path}.{key}" if path else key)
         for key, value in values.items()
     }
 

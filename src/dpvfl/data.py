@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import DatasetConfig
 from .errors import ArgumentError, DataFormatError, PartitionPlanError
 from .numerics import Rng
 
@@ -88,7 +89,6 @@ class VerticalDataset:
     labels: np.ndarray
     n_classes: int
     sample_ids: np.ndarray
-    split: str
 
     def __post_init__(self):
         n = self.labels.shape[0]
@@ -104,17 +104,13 @@ class VerticalDataset:
     def n_parties(self) -> int:
         return len(self.party_features)
 
-    def party_batch(self, party_id: int, indices) -> np.ndarray:
-        return self.party_features[party_id][indices]
-
-    def take(self, rows, split: str) -> "VerticalDataset":
-        """The given rows of every party, labelled as ``split``."""
+    def take(self, rows) -> "VerticalDataset":
+        """The given rows of every party, in order."""
         return VerticalDataset(
             party_features=tuple(f[rows] for f in self.party_features),
             labels=self.labels[rows],
             n_classes=self.n_classes,
             sample_ids=self.sample_ids[rows],
-            split=split,
         )
 
 
@@ -418,7 +414,7 @@ def even_column_plan(n_features: int, parties: int) -> ColumnRangePlan:
     return ColumnRangePlan(tuple((int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])))
 
 
-def partition_vertical(table: Table, plan, split: str = "train") -> VerticalDataset:
+def partition_vertical(table: Table, plan) -> VerticalDataset:
     """Slice feature columns across parties; labels go only to the label store."""
     sets = plan.column_sets(table.n_features, table.image_shape)
     return VerticalDataset(
@@ -426,15 +422,14 @@ def partition_vertical(table: Table, plan, split: str = "train") -> VerticalData
         labels=table.labels.copy(),
         n_classes=table.n_classes,
         sample_ids=table.sample_ids.copy(),
-        split=split,
     )
 
 
 def partition_splits(train: Table, test: Table, plan) -> DatasetSplits:
     """Partition both splits by the same plan."""
     return DatasetSplits(
-        train=partition_vertical(train, plan, "train"),
-        test=partition_vertical(test, plan, "test"),
+        train=partition_vertical(train, plan),
+        test=partition_vertical(test, plan),
     )
 
 
@@ -442,39 +437,18 @@ def partition_splits(train: Table, test: Table, plan) -> DatasetSplits:
 # Synthetic blobs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Isotropic Gaussian blobs with one basis-vector mean per class."""
-
-    n_classes: int
-    per_class: int
-    dim: int
-    spread: float
-    seed: int
-    test_fraction: float = 0.2
-
-    def __post_init__(self):
-        if self.n_classes < 2:
-            raise ArgumentError(f"need at least 2 classes, got {self.n_classes}")
-        if self.dim < self.n_classes:
-            raise ArgumentError("dim must be at least the class count (one axis per mean)")
-        if self.per_class < 2:
-            raise ArgumentError("need at least 2 samples per class")
-        if self.spread < 0:
-            raise ArgumentError("spread must be non-negative")
-
-
-def make_synthetic(spec: SyntheticSpec) -> tuple[Table, Table]:
-    """Seeded blobs, split 80/20 (or per spec) into (train, test) tables."""
-    rng = Rng(spec.seed).split("synthetic")
-    n = spec.n_classes * spec.per_class
-    features = rng.normal(0.0, 1.0, (n, spec.dim)) * spec.spread
-    labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.per_class)
+def make_synthetic(ds: DatasetConfig, seed: int) -> tuple[Table, Table]:
+    """Seeded isotropic Gaussian blobs, one basis-vector mean per class, split
+    into (train, test) tables by ``ds.test_fraction``."""
+    rng = Rng(seed).split("synthetic")
+    n = ds.classes * ds.per_class
+    features = rng.normal(0.0, 1.0, (n, ds.dim)) * ds.spread
+    labels = np.repeat(np.arange(ds.classes, dtype=np.int64), ds.per_class)
     features[np.arange(n), labels] += 1.0
     table = Table(
         features=features,
         labels=labels,
-        n_classes=spec.n_classes,
+        n_classes=ds.classes,
         sample_ids=np.arange(n, dtype=np.int64),
     )
-    return split_table(table, spec.test_fraction, spec.seed)
+    return split_table(table, ds.test_fraction, seed)

@@ -3,7 +3,7 @@ runs, and victim access wrappers for the attack harness."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,15 +20,13 @@ from .data import (
     make_synthetic,
     partition_splits,
     split_table,
-    SyntheticSpec,
 )
 from .errors import ConfigError
 from .mechanism import PrivacyParams
-from .neural import DenseNet, TrainingConfig, softmax
+from .neural import DenseNet, softmax
 from .numerics import Rng
 from .protocol import (
     ActiveParty,
-    AdaptiveConfig,
     Parties,
     PassiveParty,
     StageTimer,
@@ -41,31 +39,15 @@ def build_dataset(cfg: ExperimentConfig) -> DatasetSplits:
     """Materialize the configured dataset, deterministically from the seed."""
     ds = cfg.dataset
     if ds.kind == "synthetic":
-        for key in ("halves", "limit"):
-            if getattr(ds, key) is not None:
-                raise ConfigError(f"dataset.{key} does not apply to a synthetic dataset")
-        train_table, test_table = make_synthetic(SyntheticSpec(
-            n_classes=ds.classes,
-            per_class=ds.per_class,
-            dim=ds.dim,
-            spread=ds.spread,
-            seed=cfg.seed,
-            test_fraction=ds.test_fraction,
-        ))
+        train_table, test_table = make_synthetic(ds, cfg.seed)
     elif ds.kind == "csv":
-        if not ds.path or not ds.columns:
-            raise ConfigError("csv dataset needs 'path' and 'columns'")
         schema = tuple(ColumnSpec(c["name"], c["kind"]) for c in ds.columns)
         raw = load_csv(ds.path, schema)
         train_table, test_table = encode_csv_dataset(raw, ds.test_fraction, cfg.seed)
         train_table = train_table.head(ds.limit)
-    elif ds.kind == "idx":
-        if not ds.images or not ds.labels:
-            raise ConfigError("idx dataset needs 'images' and 'labels'")
+    else:  # idx; DatasetConfig refuses any other kind
         table = load_idx(ds.images, ds.labels).head(ds.limit)
         train_table, test_table = split_table(table, ds.test_fraction, cfg.seed)
-    else:
-        raise ConfigError(f"unknown dataset kind {ds.kind!r}")
     if ds.halves:
         plan = ImageHalfPlan(tuple(ds.halves))
     elif ds.ranges:
@@ -95,10 +77,8 @@ def build_parties(cfg: ExperimentConfig, data: DatasetSplits) -> Parties:
     The head takes the embeddings concatenated in ascending party id order,
     so its input width is the sum of the per-party embedding dims.
     """
-    config = TrainingConfig(**asdict(cfg.training))
     root = Rng(cfg.seed)
     privacy = privacy_params(cfg)
-    adaptive = AdaptiveConfig(n_clusters=data.train.n_classes, **asdict(cfg.adaptive))
     passives = []
     for pid in range(data.train.n_parties):
         dims = (
@@ -112,9 +92,10 @@ def build_parties(cfg: ExperimentConfig, data: DatasetSplits) -> Parties:
             party_id=pid,
             features=data.train.party_features[pid],
             extractor=extractor,
-            config=config,
+            config=cfg.training,
             privacy=privacy,
-            adaptive=adaptive,
+            adaptive=cfg.adaptive,
+            n_clusters=data.train.n_classes,
             rng=root,
             sigma_override=cfg.privacy.sigma_override if privacy is not None else None,
         ))
@@ -125,7 +106,7 @@ def build_parties(cfg: ExperimentConfig, data: DatasetSplits) -> Parties:
     )
     head_acts = [cfg.model.activation] * (len(head_dims) - 2) + ["identity"]
     head = DenseNet.create(head_dims, head_acts, root.split("init", data.train.n_parties))
-    active = ActiveParty(head=head, labels=data.train.labels, config=config)
+    active = ActiveParty(head=head, labels=data.train.labels, config=cfg.training)
     return Parties(passives=tuple(passives), active=active)
 
 
@@ -247,8 +228,8 @@ def _shadow_run(cfg: ExperimentConfig, shadow_index: int, victim_data: DatasetSp
         data = build_dataset(shadow_cfg)
     else:
         data = DatasetSplits(
-            train=victim_data.test.take(carve[2 * shadow_index], "train"),
-            test=victim_data.test.take(carve[2 * shadow_index + 1], "test"),
+            train=victim_data.test.take(carve[2 * shadow_index]),
+            test=victim_data.test.take(carve[2 * shadow_index + 1]),
         )
         max_batch = max(2, data.train.n_rows // 2)
         if shadow_cfg.training.batch_size > max_batch:
@@ -269,12 +250,7 @@ def run_attack_suite(cfg: ExperimentConfig, victims: dict[str, RunResult],
     to its loaded run. Attack settings come from ``cfg.attack``; the victim
     datasets are rebuilt from each victim's own resolved config.
     """
-    from .attacks import (
-        InversionConfig,
-        MembershipConfig,
-        inversion_attack,
-        membership_inference,
-    )
+    from .attacks import inversion_attack, membership_inference
 
     seed = cfg.seed if seed is None else seed
     atk = cfg.attack
@@ -307,12 +283,7 @@ def run_attack_suite(cfg: ExperimentConfig, victims: dict[str, RunResult],
             victim.extractor_dims(target),
             attacker_pool,
             holdout,
-            InversionConfig(
-                epochs=atk.decoder_epochs,
-                learning_rate=atk.decoder_lr,
-                hidden=tuple(atk.decoder_hidden) if atk.decoder_hidden else None,
-                trials=atk.trials,
-            ),
+            atk,
             rng.split("inversion"),
             victim_tag=tag,
         )
@@ -347,13 +318,7 @@ def run_attack_suite(cfg: ExperimentConfig, victims: dict[str, RunResult],
             _party_inputs(data.train, member_rows),
             _party_inputs(data.test, nonmember_rows),
             shadow_factory,
-            MembershipConfig(
-                n_shadows=atk.shadows,
-                attack_hidden=atk.attack_hidden,
-                attack_epochs=atk.attack_epochs,
-                attack_lr=atk.attack_lr,
-                sort_features=atk.level != "embedding",
-            ),
+            atk,
             rng.split("mi"),
             victim_tag=tag,
         )

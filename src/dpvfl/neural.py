@@ -16,32 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import TrainingSection
 from .errors import ArgumentError, CheckpointError, StateError
 from .numerics import Rng, as_matrix
 
 ACTIVATIONS = ("identity", "relu", "tanh", "softmax")
-
-
-@dataclass
-class TrainingConfig:
-    """Optimizer and loss-weight settings shared by all parties of a run."""
-
-    learning_rate: float
-    batch_size: int
-    epochs: int
-    weight_decay: float = 0.0
-    alpha: float = 0.0  # weight of the distance-distribution (KL surrogate) loss
-    beta: float = 0.0   # weight of the contrastive adjustment loss
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ArgumentError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.weight_decay < 0:
-            raise ArgumentError(f"weight_decay must be non-negative, got {self.weight_decay}")
-        if self.batch_size < 2:
-            raise ArgumentError(f"batch_size must be at least 2, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ArgumentError(f"epochs must be non-negative, got {self.epochs}")
 
 
 @dataclass
@@ -200,7 +179,7 @@ def squared_error(pred, target) -> tuple[float, np.ndarray]:
     return loss, 2.0 * diff / diff.size
 
 
-def sgd_step(net: DenseNet, grads, config: TrainingConfig) -> DenseNet:
+def sgd_step(net: DenseNet, grads, config: TrainingSection) -> DenseNet:
     """In-place update: theta <- theta - lr * (grad + weight_decay * theta)."""
     if len(grads) != len(net.layers):
         raise ArgumentError(f"expected {len(net.layers)} gradient pairs, got {len(grads)}")

@@ -37,10 +37,11 @@ from .adaptive import (
     rescale,
     rescale_factor,
 )
+from .config import AdaptiveSection, TrainingSection
 from .data import DatasetSplits, VerticalDataset
 from .errors import ArgumentError, InsufficientRetainedError, ProtocolError
 from .mechanism import PrivacyParams, add_noise, clip_norm, clip_norm_vjp
-from .neural import DenseNet, TrainingConfig, cross_entropy_softmax, sgd_step
+from .neural import DenseNet, cross_entropy_softmax, sgd_step
 # Unused here, but perfbench traces numerics.pairwise_distances through this name.
 from .numerics import Rng, pairwise_distances  # noqa: F401
 
@@ -153,17 +154,6 @@ def _in_epoch(epoch: int):
         raise ProtocolError(f"epoch {epoch}, {exc}") from exc
 
 
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Per-party switches and knobs for the utility-recovery techniques."""
-
-    rescale: bool = False
-    dist_adjust: bool = False
-    p2: float = 0.9987
-    confidence_threshold: float = 0.8
-    n_clusters: int = 2
-
-
 @dataclass
 class ReleaseTrace:
     """Private per-round buffers of a passive party's pipeline.
@@ -194,7 +184,8 @@ class PassiveParty:
     """Feature-holding participant: extractor + release pipeline + local update.
 
     Holds its raw feature slice and never sees labels. ``protected=False``
-    models the unprotected baseline that shares raw embeddings.
+    models the unprotected baseline that shares raw embeddings. FCM splits
+    the returned gradients into ``n_clusters`` weak clusters.
     """
 
     def __init__(
@@ -202,20 +193,22 @@ class PassiveParty:
         party_id: int,
         features: np.ndarray,
         extractor: DenseNet,
-        config: TrainingConfig,
+        config: TrainingSection,
+        adaptive: AdaptiveSection,
+        n_clusters: int,
         rng: Rng,
         privacy: PrivacyParams | None = None,
-        adaptive: AdaptiveConfig | None = None,
         sigma_override: float | None = None,
     ):
-        if privacy is None and adaptive is not None and (adaptive.rescale or adaptive.dist_adjust):
+        if privacy is None and (adaptive.rescale or adaptive.dist_adjust):
             raise ArgumentError("adaptive adjustments require the privacy mechanism")
         self.party_id = int(party_id)
         self.features = features
         self.extractor = extractor
         self.config = config
         self.privacy = privacy
-        self.adaptive = adaptive or AdaptiveConfig()
+        self.adaptive = adaptive
+        self.n_clusters = n_clusters
         self.sigma_override = sigma_override
         self._noise_rng = rng.split("noise", self.party_id)
         self._fcm_rng = rng.split("fcm", self.party_id)
@@ -298,11 +291,11 @@ class PassiveParty:
         # space by the round's constant rescale factor (noise is additive).
         adjusted_grad = grad
 
-        if self.adaptive.dist_adjust and grad.shape[0] >= self.adaptive.n_clusters:
+        if self.adaptive.dist_adjust and grad.shape[0] >= self.n_clusters:
             with _stage(timer, StageTimer.DIST_ADJUST):
                 assignment, _ = fcm(
                     grad,
-                    self.adaptive.n_clusters,
+                    self.n_clusters,
                     rng=self._fcm_rng.split("round", batch_index),
                 )
                 assignment = assignment.filtered(self.adaptive.confidence_threshold)
@@ -346,7 +339,7 @@ class ActiveParty:
         self,
         head: DenseNet,
         labels: np.ndarray,
-        config: TrainingConfig,
+        config: TrainingSection,
     ):
         self.head = head
         self.labels = np.asarray(labels, dtype=np.int64)
@@ -484,7 +477,7 @@ def evaluate(
         rows = np.arange(start, min(start + step, n))
         released = [[] for _ in streams]
         for party in parties.passives:
-            x = dataset.party_batch(party.party_id, rows)
+            x = dataset.party_features[party.party_id][rows]
             trace = party.compute_release(x, streams[0].split("eval", party.party_id, start))
             # Noise off shows the head the pre-noise batch, as add_noise at sigma 0 would.
             released[0].append(trace.released if with_noise else trace.adjusted)

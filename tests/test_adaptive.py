@@ -21,7 +21,8 @@ from dpvfl.adaptive import (
 )
 from dpvfl.errors import ArgumentError, InsufficientRetainedError
 from dpvfl.mechanism import clip_norm
-from dpvfl.neural import DenseNet, TrainingConfig, sgd_step
+from dpvfl.config import TrainingSection
+from dpvfl.neural import DenseNet, sgd_step
 from dpvfl.numerics import Rng, pairwise_distances
 
 from conftest import central_difference, erf_inv_bisect, relative_error
@@ -735,7 +736,7 @@ class TestContrastiveLoss:
             confidences=np.ones(20),
             retained_mask=np.ones(20, dtype=bool),
         )
-        config = TrainingConfig(learning_rate=0.05, batch_size=20, epochs=1)
+        config = TrainingSection(learning_rate=0.05, batch_size=20, epochs=1, weight_decay=0.0)
 
         def mean_inter_class(net):
             h = net.copy().forward(x)

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from dpvfl.attacks import (
-    AttackReport,
-    InversionConfig,
-    MembershipConfig,
-    inversion_attack,
-    membership_inference,
-)
+from dpvfl.attacks import AttackReport, inversion_attack, membership_inference
+from dpvfl.config import AttackConfig
 from dpvfl.errors import ArgumentError
 from dpvfl.mechanism import PrivacyParams, add_noise, clip_norm
 from dpvfl.numerics import Rng
@@ -30,7 +25,7 @@ class TestInversionAttack:
         holdout = rng.normal(0, 1, (64, 4))
         report = inversion_attack(
             identity_release(), [4, 4], attacker, holdout,
-            InversionConfig(epochs=80, learning_rate=0.1), Rng(2),
+            AttackConfig(decoder_epochs=80, decoder_lr=0.1), Rng(2),
             victim_tag="identity",
         )
         assert report.kind == "inversion"
@@ -43,13 +38,13 @@ class TestInversionAttack:
         holdout = rng.normal(0, 0.4, (64, 4))
         base = inversion_attack(
             identity_release(noise_sigma=0.0, t=1.0), [4, 4], attacker, holdout,
-            InversionConfig(epochs=80, learning_rate=0.1), Rng(4),
+            AttackConfig(decoder_epochs=80, decoder_lr=0.1), Rng(4),
         )
         params = PrivacyParams.from_budget(0.5, 1e-2, 1.0)
         noisy = inversion_attack(
             identity_release(noise_sigma=params.sigma, t=1.0), [4, 4],
             attacker, holdout,
-            InversionConfig(epochs=80, learning_rate=0.1), Rng(4),
+            AttackConfig(decoder_epochs=80, decoder_lr=0.1), Rng(4),
         )
         assert noisy.metric >= 5 * base.metric
 
@@ -57,7 +52,7 @@ class TestInversionAttack:
         with pytest.raises(ArgumentError):
             inversion_attack(
                 identity_release(), [4, 4], np.empty((0, 4)), np.empty((0, 4)),
-                InversionConfig(), Rng(0),
+                AttackConfig(), Rng(0),
             )
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -67,7 +62,7 @@ class TestInversionAttack:
         attacker = rng.normal(0, 1, (64, 3))
         report = inversion_attack(
             identity_release(), [3, 3], attacker, attacker,
-            InversionConfig(epochs=40, learning_rate=1e9), Rng(6),
+            AttackConfig(decoder_epochs=40, decoder_lr=1e9), Rng(6),
         )
         assert report.failed_trials == 1
         assert np.isnan(report.metric)
@@ -115,7 +110,7 @@ class TestMembershipInference:
 
         report = membership_inference(
             conf, self.make_inputs(seed=1), self.make_inputs(seed=2),
-            shadow_factory, MembershipConfig(n_shadows=3, attack_epochs=50), Rng(7),
+            shadow_factory, AttackConfig(shadows=3, attack_epochs=50), Rng(7),
         )
         assert abs(report.metric - 0.5) <= 0.1
 
@@ -151,7 +146,7 @@ class TestMembershipInference:
 
         report = membership_inference(
             victim, members, nonmembers, shadow_factory,
-            MembershipConfig(n_shadows=4, attack_epochs=100), Rng(8),
+            AttackConfig(shadows=4, attack_epochs=100), Rng(8),
         )
         # 3 standard errors over 128 balanced samples is ~0.13.
         assert report.metric > 0.5 + 3 * np.sqrt(0.25 / 128)
@@ -160,5 +155,5 @@ class TestMembershipInference:
         with pytest.raises(ArgumentError):
             membership_inference(
                 uniform_conf_fn(), self.make_inputs(), self.make_inputs(),
-                lambda i, rng: None, MembershipConfig(n_shadows=1), Rng(0),
+                lambda i, rng: None, AttackConfig(shadows=1), Rng(0),
             )

@@ -97,6 +97,21 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("dotted, value", [
+        ("training.learning_rate", 0),
+        ("training.batch_size", 1),
+        ("dataset.classes", 1),
+        ("dataset.kind", "parquet"),
+        ("model.extractor_hidden", 64),
+    ])
+    def test_section_check_exit_2_before_any_output(self, tmp_path, capsys, dotted, value):
+        cfg = write_config(tmp_path, **{dotted: value})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and dotted in err
+        assert not out.exists()
+
     def test_zero_delta_exit_1_names_delta(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"privacy.epsilon": 10.0, "privacy.delta": 0,
                                         "privacy.allow_large_epsilon": True})
@@ -133,6 +148,13 @@ class TestAblateCommand:
         assert methods == ["vanilla", "vanilla+rescale", "vanilla+distadj", "full"]
         stds = [float(line.split(",")[3]) for line in lines[1:]]
         assert stds == [0.0, 0.0, 0.0, 0.0]
+
+    def test_scalar_seeds_exit_2_before_any_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"ablate.seeds": 3})
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: ablate.seeds must be a list, got 3\n"
+        assert not out.exists()
 
     def test_zero_epochs_exit_2_before_any_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"training.epochs": 0})

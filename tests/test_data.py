@@ -9,7 +9,6 @@ from dpvfl.data import (
     ColumnRangePlan,
     ColumnSpec,
     ImageHalfPlan,
-    SyntheticSpec,
     Table,
     encode_csv_dataset,
     even_column_plan,
@@ -19,7 +18,8 @@ from dpvfl.data import (
     partition_vertical,
     split_table,
 )
-from dpvfl.errors import ArgumentError, DataFormatError, PartitionPlanError
+from dpvfl.config import DatasetConfig
+from dpvfl.errors import ConfigError, DataFormatError, PartitionPlanError
 from dpvfl.numerics import Rng
 
 
@@ -220,23 +220,23 @@ class TestSplitTable:
 
 class TestMakeSynthetic:
     def test_deterministic(self):
-        spec = SyntheticSpec(n_classes=3, per_class=20, dim=6, spread=0.3, seed=5)
-        a_train, a_test = make_synthetic(spec)
-        b_train, b_test = make_synthetic(spec)
+        ds = DatasetConfig(classes=3, per_class=20, dim=6, spread=0.3)
+        a_train, a_test = make_synthetic(ds, 5)
+        b_train, b_test = make_synthetic(ds, 5)
         npt.assert_array_equal(a_train.features, b_train.features)
         npt.assert_array_equal(a_test.labels, b_test.labels)
 
     def test_zero_spread_perfectly_separable(self):
-        spec = SyntheticSpec(n_classes=2, per_class=10, dim=4, spread=0.0, seed=1)
-        train, _ = make_synthetic(spec)
+        ds = DatasetConfig(classes=2, per_class=10, dim=4, spread=0.0)
+        train, _ = make_synthetic(ds, 1)
         # With zero spread every sample sits exactly on its class mean.
         for label in (0, 1):
             rows = train.features[train.labels == label]
             assert np.ptp(rows, axis=0).max() == 0.0
 
     def test_split_sizes(self):
-        spec = SyntheticSpec(n_classes=2, per_class=50, dim=4, spread=0.5, seed=2)
-        train, test = make_synthetic(spec)
+        ds = DatasetConfig(classes=2, per_class=50, dim=4, spread=0.5)
+        train, test = make_synthetic(ds, 2)
         assert train.n_rows == 80
         assert test.n_rows == 20
         assert train.n_features == test.n_features == 4
@@ -246,8 +246,8 @@ class TestMakeSynthetic:
         # class densities to get the Bayes accuracy; no classifier can beat
         # it beyond sampling slack.
         spread = 1.2
-        spec = SyntheticSpec(n_classes=2, per_class=400, dim=4, spread=spread, seed=3)
-        _, test = make_synthetic(spec)
+        ds = DatasetConfig(classes=2, per_class=400, dim=4, spread=spread)
+        _, test = make_synthetic(ds, 3)
         # Projection onto the difference of the class means (e1 - e0): the
         # separation is sqrt(2), per-class std is `spread`.
         grid = np.linspace(-12, 12, 20001)
@@ -269,7 +269,7 @@ class TestMakeSynthetic:
         assert acc <= bayes + slack
 
     def test_validation(self):
-        with pytest.raises(ArgumentError):
-            SyntheticSpec(n_classes=1, per_class=10, dim=4, spread=0.1, seed=0)
-        with pytest.raises(ArgumentError):
-            SyntheticSpec(n_classes=5, per_class=10, dim=4, spread=0.1, seed=0)
+        with pytest.raises(ConfigError, match="dataset.classes must be at least 2, got 1"):
+            DatasetConfig(classes=1, per_class=10, dim=4, spread=0.1)
+        with pytest.raises(ConfigError, match=r"dataset.dim must be at least dataset.classes"):
+            DatasetConfig(classes=5, per_class=10, dim=4, spread=0.1)

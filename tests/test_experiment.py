@@ -6,7 +6,7 @@ import pytest
 
 from dpvfl.config import ExperimentConfig, load_config, parse_config
 from dpvfl.errors import ConfigError
-from dpvfl import data as data_module
+from dpvfl import experiment
 from dpvfl import protocol
 from dpvfl.data import ColumnSpec, Table, encode_csv_dataset, load_csv, load_idx, split_table
 from dpvfl.experiment import (
@@ -82,6 +82,49 @@ class TestConfig:
             parse_config(tiny_raw(**{dotted: value}))
         assert str(excinfo.value) == expected
 
+    @pytest.mark.parametrize("dotted, value, expected", [
+        ("model.extractor_hidden", 64, "model.extractor_hidden must be a list, got 64"),
+        ("model.head_hidden", [8, "8"], "model.head_hidden[1] must be an integer, got '8'"),
+        ("ablate.seeds", 3, "ablate.seeds must be a list, got 3"),
+        ("dataset.halves", "left", "dataset.halves must be a list or null, got 'left'"),
+        ("dataset.ranges", [[0, 2], [2, "6"]],
+         "dataset.ranges[1][1] must be an integer, got '6'"),
+        ("dataset.ranges", [3], "dataset.ranges[0] must be a list, got 3"),
+        ("dataset.columns", ["age"], "dataset.columns[0] must be an object, got 'age'"),
+        ("attack.decoder_hidden", [1.5], "attack.decoder_hidden[0] must be an integer, got 1.5"),
+    ])
+    def test_mistyped_list_named(self, dotted, value, expected):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(tiny_raw(**{dotted: value}))
+        assert str(excinfo.value) == expected
+
+    def test_list_types_accepted(self):
+        cfg = parse_config(tiny_raw(**{
+            "model.extractor_hidden": [8.0], "ablate.seeds": [], "attack.decoder_hidden": None,
+        }))
+        assert cfg.model.extractor_hidden == [8] and type(cfg.model.extractor_hidden[0]) is int
+        assert cfg.ablate.seeds == [] and cfg.attack.decoder_hidden is None
+
+    @pytest.mark.parametrize("dotted, value, expected", [
+        ("training.learning_rate", 0, "training.learning_rate must be positive, got 0"),
+        ("training.weight_decay", -0.1, "training.weight_decay must be non-negative, got -0.1"),
+        ("training.batch_size", 1, "training.batch_size must be at least 2, got 1"),
+        ("training.epochs", -1, "training.epochs must be non-negative, got -1"),
+        ("evaluation.repeats", 0, "evaluation.repeats must be at least 1, got 0"),
+        ("dataset.classes", 1, "dataset.classes must be at least 2, got 1"),
+        ("dataset.dim", 1, "dataset.dim must be at least dataset.classes (2), got 1"),
+        ("dataset.per_class", 1, "dataset.per_class must be at least 2, got 1"),
+        ("dataset.spread", -0.5, "dataset.spread must be non-negative, got -0.5"),
+        ("attack.decoder_lr", 0, "attack.decoder_lr must be positive, got 0"),
+        ("attack.attack_lr", -1, "attack.attack_lr must be positive, got -1"),
+        ("attack.shadow_epochs", -1, "attack.shadow_epochs must be non-negative, got -1"),
+        ("timing.batch_size", 1, "timing.batch_size must be at least 2, got 1"),
+    ])
+    def test_section_checks_named(self, dotted, value, expected):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(tiny_raw(**{dotted: value}))
+        assert str(excinfo.value) == expected
+
     def test_scalar_types_accepted(self):
         cfg = parse_config(tiny_raw(**{
             "training.epochs": 3.0, "training.learning_rate": 1,
@@ -119,7 +162,7 @@ class TestBuilders:
         assert parties.active.head.input_dim == 8  # 2 parties x 4 dims
         for party in parties.passives:
             assert party.privacy is not None
-            assert party.adaptive.n_clusters == 2
+            assert party.n_clusters == 2
 
     def test_explicit_column_ranges(self):
         cfg = parse_config(tiny_raw(**{"dataset.ranges": [[0, 4], [4, 6]]}))
@@ -194,13 +237,13 @@ def write_idx_dataset(tmp_path, count=20, rows=4, cols=4):
 def partitioned_tables(monkeypatch) -> dict:
     """Record the table of each split that build_dataset partitions."""
     seen = {}
-    original = data_module.partition_vertical
+    original = experiment.partition_splits
 
-    def spy(table, plan, split="train"):
-        seen[split] = table
-        return original(table, plan, split)
+    def spy(train, test, plan):
+        seen.update(train=train, test=test)
+        return original(train, test, plan)
 
-    monkeypatch.setattr(data_module, "partition_vertical", spy)
+    monkeypatch.setattr(experiment, "partition_splits", spy)
     return seen
 
 
@@ -243,9 +286,8 @@ class TestFileDatasets:
         npt.assert_array_equal(data.test.party_features[1], test.features[:, 1:])
 
     def test_csv_needs_path_and_columns(self):
-        cfg = parse_config(tiny_raw(**{"dataset": {"kind": "csv"}}))
         with pytest.raises(ConfigError, match="'path' and 'columns'"):
-            build_dataset(cfg)
+            parse_config(tiny_raw(**{"dataset": {"kind": "csv"}}))
 
     @pytest.mark.parametrize("halves", [["left", "right"], ["top", "bottom"]])
     def test_idx_limit_and_halves(self, tmp_path, monkeypatch, halves):
@@ -271,21 +313,18 @@ class TestFileDatasets:
         assert data.train.n_classes == 3
 
     def test_idx_needs_images_and_labels(self):
-        cfg = parse_config(tiny_raw(**{"dataset": {"kind": "idx"}}))
         with pytest.raises(ConfigError, match="'images' and 'labels'"):
-            build_dataset(cfg)
+            parse_config(tiny_raw(**{"dataset": {"kind": "idx"}}))
 
     @pytest.mark.parametrize("key, value", [("halves", ["left", "right"]), ("limit", 5)])
     def test_synthetic_rejects_file_dataset_key(self, key, value):
-        cfg = parse_config(tiny_raw(**{f"dataset.{key}": value}))
         with pytest.raises(ConfigError,
                            match=f"dataset.{key} does not apply to a synthetic dataset"):
-            build_dataset(cfg)
+            parse_config(tiny_raw(**{f"dataset.{key}": value}))
 
     def test_unknown_kind(self):
-        cfg = parse_config(tiny_raw(**{"dataset": {"kind": "parquet"}}))
         with pytest.raises(ConfigError, match="unknown dataset kind 'parquet'"):
-            build_dataset(cfg)
+            parse_config(tiny_raw(**{"dataset": {"kind": "parquet"}}))
 
 
 def count_evaluations(monkeypatch) -> list:

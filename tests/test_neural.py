@@ -4,11 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dpvfl.errors import ArgumentError, CheckpointError, StateError
+from dpvfl.config import TrainingSection
+from dpvfl.errors import ArgumentError, CheckpointError, ConfigError, StateError
 from dpvfl.neural import (
     DenseNet,
     Layer,
-    TrainingConfig,
     cross_entropy_softmax,
     load_checkpoint,
     save_checkpoint,
@@ -237,7 +237,7 @@ class TestCrossEntropySoftmax:
 
 class TestSgdStep:
     def config(self, lr=0.1, wd=0.0):
-        return TrainingConfig(learning_rate=lr, batch_size=2, epochs=1, weight_decay=wd)
+        return TrainingSection(learning_rate=lr, batch_size=2, epochs=1, weight_decay=wd)
 
     def test_zero_grad_zero_decay_fixed_point(self):
         net = make_net([2, 2], ["identity"], seed=3)
@@ -262,10 +262,10 @@ class TestSgdStep:
             sgd_step(net, [(np.zeros((3, 3)), np.zeros(2))], self.config())
 
     def test_training_config_validation(self):
-        with pytest.raises(ArgumentError):
-            TrainingConfig(learning_rate=0.0, batch_size=4, epochs=1)
-        with pytest.raises(ArgumentError):
-            TrainingConfig(learning_rate=0.1, batch_size=1, epochs=1)
+        with pytest.raises(ConfigError, match="training.learning_rate must be positive"):
+            TrainingSection(learning_rate=0.0, batch_size=4, epochs=1)
+        with pytest.raises(ConfigError, match="training.batch_size must be at least 2"):
+            TrainingSection(learning_rate=0.1, batch_size=1, epochs=1)
 
 
 class TestTrainerSanity:
@@ -278,7 +278,7 @@ class TestTrainerSanity:
         ])
         y = np.array([0] * (n // 2) + [1] * (n // 2))
         net = make_net([2, 8, 2], ["tanh", "identity"], seed=23)
-        config = TrainingConfig(learning_rate=1e-2, batch_size=n, epochs=1)
+        config = TrainingSection(learning_rate=1e-2, batch_size=n, epochs=1, weight_decay=0.0)
         losses = []
         for _ in range(50):
             loss, grad = cross_entropy_softmax(net.forward(x), y)

@@ -2,18 +2,21 @@
 
     python3 tools/bench_pairs.py --label attack_speedup --parent HEAD~1 --change HEAD \\
         --pairs attack_seed=701-710 --pairs train_full=801-810 \\
-        --traced attack_seed=711 --tier1
+        --traced train_full=1041-1044 --tier1
 
 Run it from the root of a dpvfl git checkout. Each revision is exported
 with ``git archive`` into its own temporary directory, so uncommitted
 files take no part. For every seed of a ``--pairs`` workload it runs
 ``perfbench/run.py --trace 0`` once on each side, alternating which side
 goes first (even pair index: parent first), for ``run_seconds`` of
-``BENCHMARK.json``. ``--traced`` adds one ``--trace 1`` run per side, and
-``--tier1`` times the Tier-1 suite once per side. The record holds every
-run's metrics, artefact sha256s and provenance, each side's quartiles of
-the end-to-end metrics of ``BENCHMARK.json``, and the change's wins and
-losses over the pairs.
+``BENCHMARK.json``. ``--traced`` adds one ``--trace 1`` run per side and
+seed, in the same alternating order, and ``--tier1`` times the Tier-1 suite
+once per side. The record holds every run's metrics, artefact sha256s and
+provenance, each side's quartiles of the end-to-end metrics of
+``BENCHMARK.json``, the change's wins and losses over the pairs, and each
+side's mean of every per-layer metric (``bench.tracing_overhead_pct``
+included) over the traced seeds of a workload. One traced run can land in
+a fast or slow spell of a shared machine, so read the means.
 """
 
 from __future__ import annotations
@@ -130,6 +133,15 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
+def layer_means(traced_runs: list[dict], names: list[str]) -> dict:
+    """Each side's mean of every named per-layer metric over one workload's traced runs."""
+    return {
+        side: {name: float(np.mean([run[side]["metrics"][name] for run in traced_runs]))
+               for name in names}
+        for side in SIDES
+    }
+
+
 def tier1(root: Path) -> dict:
     """Wall time and outcome of the Tier-1 suite, with the slowest tests' durations."""
     started = time.perf_counter()
@@ -159,7 +171,8 @@ def main(argv=None) -> int:
             "command": f"python3 perfbench/run.py --workload W --seed N "
                        f"--seconds {seconds:g} --trace 0",
             "checkouts": "git archive of each revision into its own temporary directory",
-            "order": "one run per side and seed; even pair index runs the parent first",
+            "order": "one run per side and seed; even pair index runs the parent first "
+                     "(traced seeds too)",
             "quartiles": "numpy linear-interpolation 25th/50th/75th percentiles "
                          "over the paired runs of one side",
             "wins": "pairs where the change's value is better than the parent's; "
@@ -189,16 +202,22 @@ def main(argv=None) -> int:
                 "summary": summarize(runs, bench["end_to_end"]),
                 "runs": runs,
             }
+        per_layer = [metric["name"] for metric in bench["per_layer"]]
         for workload, seeds in workload_seeds(args.traced):
-            for seed in seeds:
+            traced_runs = []
+            for index, seed in enumerate(seeds):
                 traced = {}
-                for side in SIDES:
+                for side in SIDES if index % 2 == 0 else SIDES[::-1]:
                     result = perfbench(roots[side], workload, seed, seconds, 1)
                     traced[side] = {key: result[key] for key in
                                     ("correct", "failed", "problems", "metrics")}
                     traced[side]["sha256"] = result["jobs"][0]["digests"]
                     print(f"traced {workload} seed {seed} {side} done", flush=True)
                 record[f"traced_{workload}_seed{seed}"] = traced
+                traced_runs.append(traced)
+            record[f"traced_{workload}_mean"] = {
+                "seeds": seeds, **layer_means(traced_runs, per_layer),
+            }
         if args.tier1:
             record["tier1"] = {}
             for side in SIDES:
