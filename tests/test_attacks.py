@@ -48,6 +48,18 @@ class TestInversionAttack:
         )
         assert noisy.metric >= 5 * base.metric
 
+    @pytest.mark.parametrize("hidden, dims", [
+        (None, [4, 6, 3]), ([], [4, 6, 3]), ([5], [4, 5, 3]),
+    ])
+    def test_decoder_mirrors_extractor_unless_hidden_given(self, hidden, dims):
+        # An empty decoder_hidden, like null, mirrors the extractor.
+        x = Rng(9).normal(0, 1, (16, 3))
+        report = inversion_attack(
+            lambda v, rng: v @ np.ones((3, 4)), [3, 6, 4], x, x,
+            AttackConfig(decoder_epochs=1, decoder_hidden=hidden), Rng(10),
+        )
+        assert report.details["decoder_dims"] == dims
+
     def test_zero_training_pairs_rejected(self):
         with pytest.raises(ArgumentError):
             inversion_attack(
