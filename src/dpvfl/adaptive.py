@@ -55,10 +55,6 @@ def estimate_local_sensitivity(batch, p2: float, t: float) -> SensitivityEstimat
     clamped into ``(1e-6 t, 2t]``; a degenerate batch (all rows identical)
     lands on the lower clamp.
     """
-    if not 0.0 < p2 < 1.0:
-        raise ArgumentError(f"p2 must lie in (0, 1), got {p2}")
-    if t <= 0:
-        raise ArgumentError(f"clip threshold must be positive, got {t}")
     d = pairwise_distances(batch)
     mu = float(d.mean())
     sigma = float(d.std(ddof=1)) if d.size > 1 else 0.0
@@ -201,7 +197,6 @@ class FuzzyAssignment:
     cluster_ids: np.ndarray
     confidences: np.ndarray
     retained_mask: np.ndarray
-    threshold: float = 0.0
     degenerate: bool = False
     memberships: np.ndarray | None = None
 
@@ -211,11 +206,7 @@ class FuzzyAssignment:
 
     def filtered(self, threshold: float) -> "FuzzyAssignment":
         """New assignment retaining only rows with confidence >= threshold."""
-        if not 0.0 <= threshold <= 1.0:
-            raise ArgumentError(f"confidence threshold must lie in [0, 1], got {threshold}")
-        return replace(
-            self, retained_mask=self.confidences >= threshold, threshold=threshold
-        )
+        return replace(self, retained_mask=self.confidences >= threshold)
 
 
 def _memberships(points: np.ndarray, centers: np.ndarray, fuzzifier: float) -> np.ndarray:
@@ -369,7 +360,6 @@ def fcm(
             cluster_ids=ids,
             confidences=confidences,
             retained_mask=np.ones(n, dtype=bool),
-            threshold=0.0,
             degenerate=degenerate,
             memberships=u,
         ),

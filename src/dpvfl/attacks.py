@@ -118,8 +118,6 @@ def inversion_attack(
     holdout_features = np.asarray(holdout_features, dtype=np.float64)
     if attacker_features.size == 0:
         raise ArgumentError("inversion needs a non-empty attacker dataset")
-    if config.trials < 1:
-        raise ArgumentError("need at least one trial")
     if config.decoder_hidden:
         decoder_dims = [extractor_dims[-1], *config.decoder_hidden, extractor_dims[0]]
     else:
@@ -173,8 +171,6 @@ def membership_inference(
     hidden-layer member/non-member classifier, which is then scored on the
     true victim's balanced member/non-member sets.
     """
-    if config.shadows < 2:
-        raise ArgumentError(f"need at least 2 shadow models, got {config.shadows}")
     # Sorting makes prediction vectors class-agnostic; the embedding-level
     # variant keeps raw coordinates.
     sort_features = config.level != "embedding"

@@ -172,6 +172,12 @@ def cmd_attack(args) -> int:
     if not victim_dirs:
         raise ConfigError(f"no victim run directories under {victims_root}")
     victims = {p.name: runs.load_run(p) for p in victim_dirs}
+    target = cfg.attack.target_party
+    for tag, run in victims.items():
+        parties = run.data.train.n_parties
+        if target >= parties:
+            raise ConfigError(f"attack.target_party must be below the {parties} passive parties "
+                              f"of victim {tag!r}, got {target}")
     run_dir = runs.prepare_run_dir(
         _out_dir(args, cfg, f"attack-seed{cfg.seed}"), force=args.force
     )

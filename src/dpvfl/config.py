@@ -11,33 +11,34 @@ harness and the data builders read them directly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
 
+# Checkpoints store each layer's activation as its index in this tuple.
+ACTIVATIONS = ("identity", "relu", "tanh", "softmax")
 
-def _check_keys(obj, path: str):
-    if not isinstance(obj, dict):
-        return
-    allowed = _ALLOWED.get(path)
-    if allowed is None:
-        return
-    for key, value in obj.items():
-        if key not in allowed:
-            dotted = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown config key: {dotted}")
-        child = f"{path}.{key}" if path else key
-        if isinstance(value, dict):
-            _check_keys(value, child)
-        elif isinstance(value, list) and child in _ALLOWED:
-            for item in value:
-                _check_keys(item, child)
+NUMERIC, CATEGORICAL, LABEL = "numeric", "categorical", "label"
 
 
 def _require(ok: bool, dotted: str, rule: str, value) -> None:
     if not ok:
         raise ConfigError(f"{dotted} {rule}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class ColumnSpec:
+    """One CSV column of ``dataset.columns``: its header name and its kind."""
+
+    name: str
+    kind: str
+
+    def __post_init__(self):
+        _require(self.name != "", "dataset.columns name", "must be non-empty", self.name)
+        _require(self.kind in (NUMERIC, CATEGORICAL, LABEL),
+                 f"dataset.columns kind of {self.name!r}",
+                 "must be numeric, categorical or label", self.kind)
 
 
 @dataclass
@@ -50,7 +51,7 @@ class DatasetConfig:
     spread: float = 0.6
     # csv / idx
     path: str | None = None
-    columns: list[dict] = field(default_factory=list)
+    columns: list[ColumnSpec] = field(default_factory=list)
     images: str | None = None
     labels: str | None = None
     halves: list[str] | None = None
@@ -82,6 +83,13 @@ class DatasetConfig:
             raise ConfigError(
                 f"unknown dataset kind {self.kind!r} (dataset.kind takes synthetic, csv or idx)"
             )
+        if self.halves is not None:
+            _require(len(self.halves) == 2
+                     and set(self.halves) in ({"left", "right"}, {"top", "bottom"}),
+                     "dataset.halves", "must be left and right or top and bottom", self.halves)
+        _require(self.parties >= 1, "dataset.parties", "must be at least 1", self.parties)
+        _require(0 < self.test_fraction < 1, "dataset.test_fraction", "must lie in (0, 1)",
+                 self.test_fraction)
 
 
 @dataclass
@@ -90,6 +98,20 @@ class ModelConfig:
     extractor_hidden: list[int] = field(default_factory=lambda: [32])
     head_hidden: list[int] = field(default_factory=list)
     activation: str = "tanh"
+
+    def __post_init__(self):
+        _require(self.embedding_dim >= 1, "model.embedding_dim", "must be at least 1",
+                 self.embedding_dim)
+        for key in ("extractor_hidden", "head_hidden"):
+            for i, width in enumerate(getattr(self, key)):
+                _require(width >= 1, f"model.{key}[{i}]", "must be at least 1", width)
+        _require(self.activation in ACTIVATIONS, "model.activation",
+                 f"must be one of {', '.join(ACTIVATIONS)}", self.activation)
+        # DenseNet takes softmax only as a network's last activation.
+        if self.activation == "softmax":
+            _require(not self.extractor_hidden and not self.head_hidden, "model.activation",
+                     "may be softmax only when extractor_hidden and head_hidden are empty",
+                     self.activation)
 
 
 @dataclass
@@ -121,6 +143,16 @@ class PrivacyConfig:
     allow_large_epsilon: bool = False
     sigma_override: float | None = None
 
+    def __post_init__(self):
+        _require(self.epsilon > 0, "privacy.epsilon", "must be positive", self.epsilon)
+        _require(0 < self.delta < 1, "privacy.delta", "must lie in (0, 1)", self.delta)
+        _require(self.clip_threshold > 0, "privacy.clip_threshold", "must be positive",
+                 self.clip_threshold)
+        _require(0 < self.p1 <= 1, "privacy.p1", "must lie in (0, 1]", self.p1)
+        if self.sigma_override is not None:
+            _require(self.sigma_override >= 0, "privacy.sigma_override", "must be non-negative",
+                     self.sigma_override)
+
 
 @dataclass
 class AdaptiveSection:
@@ -128,6 +160,11 @@ class AdaptiveSection:
     dist_adjust: bool = True
     p2: float = 0.9987
     confidence_threshold: float = 0.8
+
+    def __post_init__(self):
+        _require(0 < self.p2 < 1, "adaptive.p2", "must lie in (0, 1)", self.p2)
+        _require(0 <= self.confidence_threshold <= 1, "adaptive.confidence_threshold",
+                 "must lie in [0, 1]", self.confidence_threshold)
 
 
 @dataclass
@@ -161,6 +198,13 @@ class AttackConfig:
         if self.shadow_epochs is not None:
             _require(self.shadow_epochs >= 0, "attack.shadow_epochs", "must be non-negative",
                      self.shadow_epochs)
+        _require(self.level in ("prediction", "embedding"), "attack.level",
+                 "must be prediction or embedding", self.level)
+        # The upper bound depends on the victims; the attack command checks it.
+        _require(self.target_party >= 0, "attack.target_party", "must be non-negative",
+                 self.target_party)
+        _require(self.shadows >= 2, "attack.shadows", "must be at least 2", self.shadows)
+        _require(self.trials >= 1, "attack.trials", "must be at least 1", self.trials)
 
 
 @dataclass
@@ -193,6 +237,14 @@ class ExperimentConfig:
     ablate: AblateConfig = field(default_factory=AblateConfig)
     timing: TimingConfig = field(default_factory=TimingConfig)
 
+    def __post_init__(self):
+        # delta' = delta / (p1 * p2) is the failure probability the summary
+        # reports for the quantile-based rescale.
+        if self.privacy.enabled:
+            relaxed = self.privacy.delta / (self.privacy.p1 * self.adaptive.p2)
+            _require(relaxed < 1, "privacy.delta / (privacy.p1 * adaptive.p2)",
+                     "must stay below 1", relaxed)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -200,55 +252,39 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-_SECTIONS = {
-    "dataset": DatasetConfig,
-    "model": ModelConfig,
-    "training": TrainingSection,
-    "privacy": PrivacyConfig,
-    "adaptive": AdaptiveSection,
-    "evaluation": EvaluationConfig,
-    "attack": AttackConfig,
-    "ablate": AblateConfig,
-    "timing": TimingConfig,
-}
-
-# Each section accepts exactly its dataclass's fields; the column entries
-# of a CSV dataset are plain dicts with no dataclass of their own.
-_ALLOWED = {
-    "": {f.name for f in fields(ExperimentConfig)},
-    **{name: {f.name for f in fields(section)} for name, section in _SECTIONS.items()},
-    "dataset.columns": {"name", "kind"},
-}
-
+# The records a config may nest, by the name their annotations use.
+_RECORDS = {cls.__name__: cls for cls in (
+    ColumnSpec, DatasetConfig, ModelConfig, TrainingSection, PrivacyConfig, AdaptiveSection,
+    EvaluationConfig, AttackConfig, AblateConfig, TimingConfig,
+)}
 
 _KINDS = {
     "bool": (bool, "a boolean"),
     "int": (int, "an integer"),
     "float": (float, "a number"),
     "str": (str, "a string"),
-    "dict": (dict, "an object"),
 }
 
 
 def _checked(value, annotation: str, dotted: str):
     """``value`` checked against an annotation ``T`` or ``T | None``.
 
-    ``T`` is a scalar, ``dict`` or ``list[U]``, whose items are checked
-    against ``U`` under ``dotted[i]``. ``int`` takes integral floats (as
-    ints) but not booleans, ``float`` takes ints, and ``bool`` takes only
-    booleans. Other annotations (the sections) pass the value through. The
-    annotations are strings: this module defers their evaluation.
+    ``T`` is a scalar, a record of ``_RECORDS``, which ``_record`` builds
+    from a JSON object, or ``list[U]``, whose items are checked against
+    ``U`` under ``dotted[i]``. ``int`` takes integral floats (as ints) but
+    not booleans, ``float`` takes ints, and ``bool`` takes only booleans.
+    The annotations are strings: this module defers their evaluation.
     """
     options = annotation.split(" | ")
     if value is None and "None" in options:
         return value
     kind_name = options[0]
-    if kind_name.startswith("list["):
+    if kind_name in _RECORDS:
+        kind, name = dict, "an object"
+    elif kind_name.startswith("list["):
         kind, name = list, "a list"
-    elif kind_name in _KINDS:
-        kind, name = _KINDS[kind_name]
     else:
-        return value
+        kind, name = _KINDS[kind_name]
     if isinstance(value, bool):
         accepted = kind is bool
     elif kind is int:
@@ -261,39 +297,38 @@ def _checked(value, annotation: str, dotted: str):
     if not accepted:
         expected = name + (" or null" if len(options) > 1 else "")
         raise ConfigError(f"{dotted} must be {expected}, got {value!r}")
+    if kind is dict:
+        return _record(_RECORDS[kind_name], value, dotted)
     if kind is list:
         item = kind_name[len("list["):-1]
         value = [_checked(v, item, f"{dotted}[{i}]") for i, v in enumerate(value)]
     return value
 
 
-def _typed(cls, values: dict, path: str) -> dict:
-    annotations = {f.name: f.type for f in fields(cls)}
-    return {
-        key: _checked(value, annotations[key], f"{path}.{key}" if path else key)
-        for key, value in values.items()
-    }
+def _record(cls, raw: dict, path: str):
+    """``cls`` built from the JSON object ``raw`` found at ``path``.
+
+    Every key must name a field of ``cls``, every field without a default
+    must be given, and each value must match its field's annotation; the
+    record's own ``__post_init__`` then checks the values.
+    """
+    known = cls.__dataclass_fields__  # a dataclass's fields, by name
+    kwargs = {}
+    for key, value in raw.items():
+        dotted = f"{path}.{key}" if path else key
+        if key not in known:
+            raise ConfigError(f"unknown config key: {dotted}")
+        kwargs[key] = _checked(value, known[key].type, dotted)
+    for name, f in known.items():
+        if name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing config key: {path}.{name}")
+    return cls(**kwargs)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, "")
-    kwargs = {}
-    for key, value in _typed(ExperimentConfig, raw, "").items():
-        if key in _SECTIONS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
-            try:
-                kwargs[key] = _SECTIONS[key](**_typed(_SECTIONS[key], value, key))
-            except TypeError as exc:
-                raise ConfigError(f"bad {key} section: {exc}") from exc
-        else:
-            kwargs[key] = value
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _record(ExperimentConfig, raw, "")
 
 
 def load_config(path) -> ExperimentConfig:

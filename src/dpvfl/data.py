@@ -17,21 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DatasetConfig
+from .config import CATEGORICAL, LABEL, NUMERIC, ColumnSpec, DatasetConfig
 from .errors import ArgumentError, DataFormatError, PartitionPlanError
 from .numerics import Rng
-
-NUMERIC, CATEGORICAL, LABEL = "numeric", "categorical", "label"
-
-
-@dataclass(frozen=True)
-class ColumnSpec:
-    name: str
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (NUMERIC, CATEGORICAL, LABEL):
-            raise ArgumentError(f"unknown column kind {self.kind!r} for {self.name!r}")
 
 
 @dataclass
@@ -255,8 +243,6 @@ def _split_rows(n_rows: int, test_fraction: float, seed: int, tag: str):
 
     ``tag`` names the RNG stream, so each kind of split keeps its own.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ArgumentError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     order = Rng(seed).split(tag).permutation(n_rows)
     n_test = max(1, int(round(n_rows * test_fraction)))
     if n_test >= n_rows:
@@ -375,22 +361,16 @@ class ColumnRangePlan:
         return sets
 
 
-_HALF_PAIRS = ({"left", "right"}, {"top", "bottom"})
-
-
 @dataclass(frozen=True)
 class ImageHalfPlan:
-    """Give each party one half of a row-major flattened image."""
+    """Give each party one half of a row-major flattened image, in the
+    order ``halves`` names them (``left``/``right`` or ``top``/``bottom``)."""
 
     halves: tuple[str, str]
 
     def column_sets(self, n_features: int, image_shape) -> list[np.ndarray]:
         if image_shape is None:
             raise PartitionPlanError("image-half plan needs a table with an image shape")
-        if set(self.halves) not in _HALF_PAIRS or len(self.halves) != 2:
-            raise PartitionPlanError(
-                f"halves must be (left, right) or (top, bottom), got {self.halves}"
-            )
         rows, cols = image_shape
         if rows * cols != n_features:
             raise PartitionPlanError(

@@ -10,7 +10,6 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import (
     ColumnRangePlan,
-    ColumnSpec,
     DatasetSplits,
     ImageHalfPlan,
     encode_csv_dataset,
@@ -41,8 +40,7 @@ def build_dataset(cfg: ExperimentConfig) -> DatasetSplits:
     if ds.kind == "synthetic":
         train_table, test_table = make_synthetic(ds, cfg.seed)
     elif ds.kind == "csv":
-        schema = tuple(ColumnSpec(c["name"], c["kind"]) for c in ds.columns)
-        raw = load_csv(ds.path, schema)
+        raw = load_csv(ds.path, ds.columns)
         train_table, test_table = encode_csv_dataset(raw, ds.test_fraction, cfg.seed)
         train_table = train_table.head(ds.limit)
     else:  # idx; DatasetConfig refuses any other kind
@@ -65,8 +63,6 @@ def privacy_params(cfg: ExperimentConfig) -> PrivacyParams | None:
         epsilon=p.epsilon,
         delta=p.delta,
         clip_threshold=p.clip_threshold,
-        p1=p.p1,
-        p2=cfg.adaptive.p2,
         allow_large_epsilon=p.allow_large_epsilon,
     )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,20 +46,15 @@ def calibrate_sigma(epsilon: float, delta: float) -> float:
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Per-party privacy accounting record.
-
-    ``sigma`` is the noise multiplier actually used (at least the minimal
-    calibrated value), and ``delta_prime = delta / (p1 * p2)`` is the relaxed
-    failure probability reported when the quantile-based rescaling is active.
+    """The Gaussian mechanism's settings: the (epsilon, delta) budget, the
+    clip threshold ``t`` and ``sigma``, the noise multiplier actually used
+    (at least the minimal calibrated value).
     """
 
     epsilon: float
     delta: float
     clip_threshold: float
-    p1: float = 1.0
-    p2: float = 0.9987
-    sigma: float = field(default=0.0)
-    delta_prime: float = field(default=0.0)
+    sigma: float = 0.0
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -68,20 +63,11 @@ class PrivacyParams:
             raise ArgumentError(f"delta must lie in (0, 1), got {self.delta}")
         if self.clip_threshold <= 0:
             raise ArgumentError(f"clip threshold must be positive, got {self.clip_threshold}")
-        for name in ("p1", "p2"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ArgumentError(f"{name} must lie in (0, 1], got {value}")
         minimal = _classic_sigma(self.epsilon, self.delta)
         if self.sigma < minimal - 1e-12:
             raise ArgumentError(
                 f"sigma={self.sigma} below the minimal compliant value {minimal:.6f}"
             )
-        expected_dp = self.delta / (self.p1 * self.p2)
-        if abs(self.delta_prime - expected_dp) > 1e-12:
-            raise ArgumentError("delta_prime must equal delta / (p1 * p2)")
-        if self.delta_prime >= 1.0:
-            raise ArgumentError(f"delta_prime must stay below 1, got {self.delta_prime}")
 
     @classmethod
     def from_budget(
@@ -89,8 +75,6 @@ class PrivacyParams:
         epsilon: float,
         delta: float,
         clip_threshold: float,
-        p1: float = 1.0,
-        p2: float = 0.9987,
         sigma: float | None = None,
         allow_large_epsilon: bool = False,
     ) -> "PrivacyParams":
@@ -115,20 +99,13 @@ class PrivacyParams:
             epsilon=float(epsilon),
             delta=float(delta),
             clip_threshold=float(clip_threshold),
-            p1=float(p1),
-            p2=float(p2),
             sigma=minimal if sigma is None else float(sigma),
-            delta_prime=float(delta) / (float(p1) * float(p2)),
         )
 
     @property
     def noise_std(self) -> float:
         """Per-coordinate noise standard deviation sigma * 2t."""
         return self.sigma * SENSITIVITY_FACTOR * self.clip_threshold
-
-    @property
-    def estimated_sensitivity(self) -> float:
-        return SENSITIVITY_FACTOR * self.clip_threshold
 
 
 def _row_norms(b: np.ndarray) -> np.ndarray:

@@ -16,11 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TrainingSection
+from .config import ACTIVATIONS, TrainingSection
 from .errors import ArgumentError, CheckpointError, StateError
 from .numerics import Rng, as_matrix
-
-ACTIVATIONS = ("identity", "relu", "tanh", "softmax")
 
 
 @dataclass

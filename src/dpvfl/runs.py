@@ -113,7 +113,7 @@ def training_summary(result: RunResult, runtime_seconds: float) -> dict:
             "delta": p.delta,
             "clip_threshold": p.clip_threshold,
             "sigma": p.sigma,
-            "delta_prime": p.delta_prime,
+            "delta_prime": p.delta / (cfg.privacy.p1 * cfg.adaptive.p2),
             "sigma_override": passives[0].sigma_override,
             "note": "per-round budget; no cross-round composition is claimed",
         }

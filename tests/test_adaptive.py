@@ -19,9 +19,9 @@ from dpvfl.adaptive import (
     rescale,
     rescale_factor,
 )
-from dpvfl.errors import ArgumentError, InsufficientRetainedError
+from dpvfl.errors import ArgumentError, ConfigError, InsufficientRetainedError
 from dpvfl.mechanism import clip_norm
-from dpvfl.config import TrainingSection
+from dpvfl.config import AdaptiveSection, TrainingSection
 from dpvfl.neural import DenseNet, sgd_step
 from dpvfl.numerics import Rng, pairwise_distances
 
@@ -226,8 +226,9 @@ class TestEstimateLocalSensitivity:
 
     @pytest.mark.parametrize("p2", [0.0, 1.0, 1.5, float("nan")])
     def test_p2_domain_errors(self, p2):
-        with pytest.raises(ArgumentError):
-            estimate_local_sensitivity(np.array([[0.0], [1.0], [3.0]]), p2=p2, t=4.0)
+        # The config decides p2's domain; the estimator receives parsed values.
+        with pytest.raises(ConfigError, match=r"^adaptive\.p2 must lie in \(0, 1\), got "):
+            AdaptiveSection(p2=p2)
 
     def test_degenerate_batch_clamps_to_floor(self):
         batch = np.ones((5, 3))

@@ -3,7 +3,7 @@ import pytest
 
 from dpvfl.attacks import AttackReport, inversion_attack, membership_inference
 from dpvfl.config import AttackConfig
-from dpvfl.errors import ArgumentError
+from dpvfl.errors import ArgumentError, ConfigError
 from dpvfl.mechanism import PrivacyParams, add_noise, clip_norm
 from dpvfl.numerics import Rng
 
@@ -164,8 +164,6 @@ class TestMembershipInference:
         assert report.metric > 0.5 + 3 * np.sqrt(0.25 / 128)
 
     def test_too_few_shadows_rejected(self):
-        with pytest.raises(ArgumentError):
-            membership_inference(
-                uniform_conf_fn(), self.make_inputs(), self.make_inputs(),
-                lambda i, rng: None, AttackConfig(shadows=1), Rng(0),
-            )
+        # The attack section refuses it before any shadow is trained.
+        with pytest.raises(ConfigError, match=r"^attack\.shadows must be at least 2, got 1$"):
+            AttackConfig(shadows=1)

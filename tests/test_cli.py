@@ -112,11 +112,53 @@ class TestTrainCommand:
         assert err.startswith("error: ") and dotted in err
         assert not out.exists()
 
-    def test_zero_delta_exit_1_names_delta(self, tmp_path, capsys):
+    def test_zero_delta_exit_2_names_delta(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"privacy.epsilon": 10.0, "privacy.delta": 0,
                                         "privacy.allow_large_epsilon": True})
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
-        assert capsys.readouterr().err == "error: delta must lie in (0, 1), got 0\n"
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: privacy.delta must lie in (0, 1), got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, overrides, dotted", [
+        ("train", {"privacy.epsilon": -1}, "privacy.epsilon"),
+        ("train", {"privacy.delta": 0}, "privacy.delta"),
+        ("train", {"privacy.clip_threshold": 0}, "privacy.clip_threshold"),
+        ("train", {"privacy.p1": 0}, "privacy.p1"),
+        ("train", {"privacy.sigma_override": -1}, "privacy.sigma_override"),
+        ("train", {"adaptive.p2": 0}, "adaptive.p2"),
+        ("train", {"adaptive.p2": 1.0}, "adaptive.p2"),
+        ("train", {"adaptive.confidence_threshold": 1.5}, "adaptive.confidence_threshold"),
+        ("train", {"privacy.delta": 0.5, "privacy.p1": 0.5, "adaptive.p2": 0.9},
+         "privacy.delta / (privacy.p1 * adaptive.p2)"),
+        ("train", {"dataset.test_fraction": 0}, "dataset.test_fraction"),
+        ("train", {"dataset.parties": 0}, "dataset.parties"),
+        ("train", {"dataset": {"kind": "idx", "images": "i", "labels": "l",
+                               "halves": ["left", "top"]}}, "dataset.halves"),
+        ("train", {"dataset": {"kind": "csv", "path": "d.csv",
+                               "columns": [{"name": "a", "kind": "numerc"}]}},
+         "dataset.columns"),
+        ("train", {"dataset": {"kind": "csv", "path": "d.csv",
+                               "columns": [{"kind": "label"}]}}, "dataset.columns[0].name"),
+        ("train", {"model.activation": "sigmoid"}, "model.activation"),
+        ("train", {"model.activation": "softmax"}, "model.activation"),
+        ("train", {"model.embedding_dim": 0}, "model.embedding_dim"),
+        ("train", {"model.extractor_hidden": [0]}, "model.extractor_hidden[0]"),
+        ("attack", {"attack.level": "embeding"}, "attack.level"),
+        ("attack", {"attack.target_party": -1}, "attack.target_party"),
+        ("attack", {"attack.shadows": 1}, "attack.shadows"),
+        ("attack", {"attack.trials": 0}, "attack.trials"),
+    ])
+    def test_refused_value_exit_2_before_any_output(self, tmp_path, capsys, command,
+                                                    overrides, dotted):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "run"
+        extra = ["--victims", str(tmp_path / "victims")] if command == "attack" else []
+        assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {dotted} ") or err.startswith(
+            f"error: missing config key: {dotted}")
+        assert not out.exists()
 
     def test_seed_and_toggle_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -219,6 +261,21 @@ class TestAttackCommand:
             "--out", str(tmp_path / "attack"),
         ]) == 2
         assert "checksum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", [2, 9])
+    def test_target_party_beyond_victim_exit_2(self, tmp_path, capsys, target):
+        victims = tmp_path / "victims"
+        assert main(["train", "--config", str(write_config(tmp_path)),
+                     "--out", str(victims / "full")]) == 0
+        cfg = write_config(tmp_path, name="atk.json", **{"attack.target_party": target})
+        out = tmp_path / "attack"
+        assert main(["attack", "--config", str(cfg), "--victims", str(victims),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: attack.target_party must be below the 2 passive parties of victim "
+            f"'full', got {target}\n"
+        )
+        assert not out.exists()
 
     def test_missing_victims_dir_exit_2(self, tmp_path):
         cfg = write_config(tmp_path)

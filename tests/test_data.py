@@ -197,9 +197,11 @@ class TestPartitionVertical:
             partition_vertical(toy_table(), ColumnRangePlan(((0, 1), (2, 4))))
 
     def test_bad_half_pair(self):
-        table = toy_table()
-        with pytest.raises(PartitionPlanError):
-            ImageHalfPlan(("left", "top")).column_sets(4, (2, 2))
+        # dataset.halves is checked when the config is parsed.
+        with pytest.raises(ConfigError, match=r"^dataset\.halves must be left and right or "
+                                              r"top and bottom, got \['left', 'top'\]$"):
+            DatasetConfig(kind="idx", images="i", labels="l", halves=["left", "top"])
+        DatasetConfig(kind="idx", images="i", labels="l", halves=["right", "left"])
 
     def test_even_plan_helper(self):
         plan = even_column_plan(10, 3)

@@ -1,4 +1,8 @@
+import re
 import struct
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import numpy.testing as npt
@@ -63,7 +67,7 @@ class TestConfig:
 
     def test_unknown_column_key_named(self):
         raw = tiny_raw(**{"dataset.columns": [{"name": "a", "kind": "numeric", "unit": "m"}]})
-        with pytest.raises(ConfigError, match="unknown config key: dataset.columns.unit"):
+        with pytest.raises(ConfigError, match=r"unknown config key: dataset\.columns\[0\]\.unit$"):
             parse_config(raw)
 
     @pytest.mark.parametrize("dotted, value, expected", [
@@ -119,6 +123,42 @@ class TestConfig:
         ("attack.attack_lr", -1, "attack.attack_lr must be positive, got -1"),
         ("attack.shadow_epochs", -1, "attack.shadow_epochs must be non-negative, got -1"),
         ("timing.batch_size", 1, "timing.batch_size must be at least 2, got 1"),
+        ("privacy.epsilon", -1, "privacy.epsilon must be positive, got -1"),
+        ("privacy.delta", 0, "privacy.delta must lie in (0, 1), got 0"),
+        ("privacy.delta", 1.0, "privacy.delta must lie in (0, 1), got 1.0"),
+        ("privacy.clip_threshold", 0, "privacy.clip_threshold must be positive, got 0"),
+        ("privacy.p1", 0, "privacy.p1 must lie in (0, 1], got 0"),
+        ("privacy.p1", 1.5, "privacy.p1 must lie in (0, 1], got 1.5"),
+        ("privacy.sigma_override", -1, "privacy.sigma_override must be non-negative, got -1"),
+        ("adaptive.p2", 0, "adaptive.p2 must lie in (0, 1), got 0"),
+        ("adaptive.p2", 1.0, "adaptive.p2 must lie in (0, 1), got 1.0"),
+        ("adaptive.confidence_threshold", 1.5,
+         "adaptive.confidence_threshold must lie in [0, 1], got 1.5"),
+        ("adaptive.confidence_threshold", -0.1,
+         "adaptive.confidence_threshold must lie in [0, 1], got -0.1"),
+        ("dataset.test_fraction", 0, "dataset.test_fraction must lie in (0, 1), got 0"),
+        ("dataset.test_fraction", 1, "dataset.test_fraction must lie in (0, 1), got 1"),
+        ("dataset.parties", 0, "dataset.parties must be at least 1, got 0"),
+        ("dataset", {"kind": "idx", "images": "i", "labels": "l", "halves": ["left"]},
+         "dataset.halves must be left and right or top and bottom, got ['left']"),
+        ("dataset", {"kind": "csv", "path": "d.csv", "columns": [{"name": "a", "kind": "int"}]},
+         "dataset.columns kind of 'a' must be numeric, categorical or label, got 'int'"),
+        ("dataset", {"kind": "csv", "path": "d.csv", "columns": [{"name": "", "kind": "label"}]},
+         "dataset.columns name must be non-empty, got ''"),
+        ("dataset", {"kind": "csv", "path": "d.csv", "columns": [{"kind": "label"}]},
+         "missing config key: dataset.columns[0].name"),
+        ("model.embedding_dim", 0, "model.embedding_dim must be at least 1, got 0"),
+        ("model.extractor_hidden", [8, 0], "model.extractor_hidden[1] must be at least 1, got 0"),
+        ("model.head_hidden", [-2], "model.head_hidden[0] must be at least 1, got -2"),
+        ("model.activation", "sigmoid",
+         "model.activation must be one of identity, relu, tanh, softmax, got 'sigmoid'"),
+        ("model.activation", "softmax", "model.activation may be softmax only when "
+         "extractor_hidden and head_hidden are empty, got 'softmax'"),
+        ("attack.level", "embeding",
+         "attack.level must be prediction or embedding, got 'embeding'"),
+        ("attack.target_party", -1, "attack.target_party must be non-negative, got -1"),
+        ("attack.shadows", 1, "attack.shadows must be at least 2, got 1"),
+        ("attack.trials", 0, "attack.trials must be at least 1, got 0"),
     ])
     def test_section_checks_named(self, dotted, value, expected):
         with pytest.raises(ConfigError) as excinfo:
@@ -144,6 +184,50 @@ class TestConfig:
     def test_defaults_are_valid(self):
         cfg = ExperimentConfig()
         assert cfg.model.embedding_dim == 16
+
+    def test_softmax_builds_without_hidden_layers(self):
+        cfg = parse_config(tiny_raw(**{
+            "model": {"embedding_dim": 4, "extractor_hidden": [], "activation": "softmax"},
+        }))
+        parties = build_parties(cfg, build_dataset(cfg))
+        assert parties.passives[0].extractor.layers[-1].activation == "softmax"
+
+    def test_csv_columns_round_trip_through_json(self, tmp_path):
+        cfg = parse_config(tiny_raw(**{
+            "dataset": {"kind": "csv", "path": "people.csv", "columns": CSV_COLUMNS},
+        }))
+        assert cfg.dataset.columns == [ColumnSpec(c["name"], c["kind"]) for c in CSV_COLUMNS]
+        assert cfg.to_dict()["dataset"]["columns"] == CSV_COLUMNS
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.to_json())
+        again = load_config(path)
+        assert again == cfg and again.to_json() == cfg.to_json()
+
+    def test_readme_schema_table_names_every_field(self):
+        """The README "Config schema" table lists exactly each section's fields."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        table = readme.split("| section | keys |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+        listed = {}
+        for row in table.splitlines():
+            section, keys = (cell.strip() for cell in row.strip("|").split("|"))
+            # Split the key list at top-level commas; each item starts with its key.
+            items, depth, start = [], 0, 0
+            for i, char in enumerate(keys + ","):
+                depth += {"(": 1, ")": -1}.get(char, 0)
+                if char == "," and depth == 0:
+                    items.append(keys[start:i])
+                    start = i + 1
+            names = [m.group(1) for m in map(re.compile(r"`([^`]+)`").search, items) if m]
+            listed[section.strip("`")] = names
+        hints = get_type_hints(ExperimentConfig)
+        expected = {"(root)": [f.name for f in fields(ExperimentConfig)
+                               if not is_dataclass(hints[f.name])]}
+        for f in fields(ExperimentConfig):
+            if is_dataclass(hints[f.name]):
+                expected[f.name] = [g.name for g in fields(hints[f.name])]
+        assert {k: sorted(v) for k, v in listed.items()} == {
+            k: sorted(v) for k, v in expected.items()
+        }
 
 
 class TestBuilders:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpvfl.errors import ArgumentError
+from dpvfl.config import AdaptiveSection, ExperimentConfig, PrivacyConfig
+from dpvfl.errors import ArgumentError, ConfigError
 from dpvfl.mechanism import (
     PrivacyParams,
     add_noise,
@@ -95,10 +97,8 @@ class TestCalibrateSigma:
 
 class TestPrivacyParams:
     def test_derived_fields(self):
-        p = params_for(0.5, 1e-2, 2.0, p1=0.9, p2=0.9987)
+        p = params_for(0.5, 1e-2, 2.0)
         assert p.sigma == calibrate_sigma(0.5, 1e-2)
-        assert abs(p.delta_prime - 1e-2 / (0.9 * 0.9987)) < 1e-15
-        assert p.estimated_sensitivity == 4.0
         assert abs(p.noise_std - p.sigma * 4.0) < 1e-12
 
     def test_sigma_may_only_increase(self):
@@ -121,8 +121,15 @@ class TestPrivacyParams:
             params_for(10.0, delta, 1.0, allow_large_epsilon=True)
 
     def test_delta_prime_must_stay_below_one(self):
-        with pytest.raises(ArgumentError):
-            params_for(0.5, 0.5, 1.0, p1=0.5, p2=0.9)
+        # delta' = delta / (p1 * p2) spans two sections, so the whole config checks it.
+        privacy = PrivacyConfig(delta=0.5, p1=0.5)
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig(privacy=privacy, adaptive=AdaptiveSection(p2=0.9))
+        assert str(excinfo.value) == (
+            f"privacy.delta / (privacy.p1 * adaptive.p2) must stay below 1, got {0.5 / 0.45!r}"
+        )
+        ExperimentConfig(privacy=replace(privacy, enabled=False),
+                         adaptive=AdaptiveSection(p2=0.9))
 
 
 class TestClipNorm:
