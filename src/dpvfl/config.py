@@ -63,9 +63,6 @@ class DatasetConfig:
 
     def __post_init__(self):
         if self.kind == "synthetic":
-            for key in ("halves", "limit"):
-                if getattr(self, key) is not None:
-                    raise ConfigError(f"dataset.{key} does not apply to a synthetic dataset")
             _require(self.classes >= 2, "dataset.classes", "must be at least 2", self.classes)
             # One basis-vector mean per class.
             _require(self.dim >= self.classes, "dataset.dim",
@@ -83,6 +80,12 @@ class DatasetConfig:
             raise ConfigError(
                 f"unknown dataset kind {self.kind!r} (dataset.kind takes synthetic, csv or idx)"
             )
+        # halves cut images in two; limit keeps a file's first rows.
+        for key, kinds in (("halves", ("idx",)), ("limit", ("csv", "idx"))):
+            if getattr(self, key) is not None and self.kind not in kinds:
+                raise ConfigError(f"dataset.{key} does not apply to a {self.kind} dataset")
+        if self.limit is not None:
+            _require(self.limit >= 1, "dataset.limit", "must be at least 1", self.limit)
         if self.halves is not None:
             _require(len(self.halves) == 2
                      and set(self.halves) in ({"left", "right"}, {"top", "bottom"}),
@@ -169,7 +172,6 @@ class AdaptiveSection:
 
 @dataclass
 class EvaluationConfig:
-    with_noise: bool = True
     repeats: int = 1
 
     def __post_init__(self):
@@ -204,7 +206,11 @@ class AttackConfig:
         _require(self.target_party >= 0, "attack.target_party", "must be non-negative",
                  self.target_party)
         _require(self.shadows >= 2, "attack.shadows", "must be at least 2", self.shadows)
-        _require(self.trials >= 1, "attack.trials", "must be at least 1", self.trials)
+        for key in ("trials", "eval_per_side", "attack_hidden"):
+            value = getattr(self, key)
+            _require(value >= 1, f"attack.{key}", "must be at least 1", value)
+        for i, width in enumerate(self.decoder_hidden or []):
+            _require(width >= 1, f"attack.decoder_hidden[{i}]", "must be at least 1", width)
 
 
 @dataclass
@@ -218,6 +224,7 @@ class TimingConfig:
     batch_size: int | None = None
 
     def __post_init__(self):
+        _require(self.rounds >= 1, "timing.rounds", "must be at least 1", self.rounds)
         if self.batch_size is not None:
             _require(self.batch_size >= 2, "timing.batch_size", "must be at least 2",
                      self.batch_size)

@@ -120,7 +120,6 @@ def run_training(cfg: ExperimentConfig, on_round=None) -> RunResult:
     parties = build_parties(cfg, data)
     history = train(
         parties, data, Rng(cfg.seed),
-        evaluate_with_noise=cfg.evaluation.with_noise,
         eval_repeats=cfg.evaluation.repeats,
         on_round=on_round,
     )

@@ -3,9 +3,9 @@ aggregation, gradient exchange, and local updates.
 
 Each communication round runs, in order:
 
-1. every passive party embeds its mini-batch, clips row norms to ``t``,
-   (optionally) estimates its local output disparity and rescales, adds
-   calibrated noise, and shares the result;
+1. every passive party embeds its mini-batch and shares its :func:`release`:
+   clipped to row norm ``t``, (optionally) rescaled by the estimate of its
+   local output disparity, and noised;
 2. the active party concatenates the shared embeddings in ascending party
    id order, optimizes the supervised loss, updates its head, and returns
    each party's embedding gradient;
@@ -156,19 +156,49 @@ def _in_epoch(epoch: int):
 
 @dataclass
 class ReleaseTrace:
-    """Private per-round buffers of a passive party's pipeline.
+    """The private buffers of one release.
 
     ``adjusted`` is the pre-noise state the auxiliary losses see: the
-    clipped batch after the (optional) rescale step.
+    clipped batch times ``factor``, the (optional) rescale step.
     """
 
-    batch_index: int
     raw: np.ndarray
-    clipped: np.ndarray
     estimate: SensitivityEstimate | None
     factor: float
     adjusted: np.ndarray
     released: np.ndarray
+
+
+def release(
+    raw: np.ndarray,
+    privacy: PrivacyParams | None,
+    adaptive: AdaptiveSection,
+    rng: Rng,
+    *,
+    sigma: float | None = None,
+    timer: StageTimer | None = None,
+) -> ReleaseTrace:
+    """Clip each row of ``raw`` to ``t``, estimate and rescale if
+    ``adaptive.rescale`` is on (for two rows or more), then add noise from
+    ``rng`` at multiplier ``sigma`` (default ``privacy.sigma``). The timer
+    buckets are base, rescale and noise. ``privacy=None`` releases ``raw``.
+    """
+    if privacy is None:
+        return ReleaseTrace(raw=raw, estimate=None, factor=1.0, adjusted=raw, released=raw)
+    t = privacy.clip_threshold
+    with _stage(timer, StageTimer.BASE):
+        clipped = clip_norm(raw, t)
+    estimate, factor, adjusted = None, 1.0, clipped
+    if adaptive.rescale and clipped.shape[0] >= 2:
+        with _stage(timer, StageTimer.RESCALE):
+            estimate = estimate_local_sensitivity(clipped, adaptive.p2, t)
+            factor = rescale_factor(estimate, t)
+            adjusted = rescale(clipped, estimate, t)
+    with _stage(timer, StageTimer.NOISE):
+        released = add_noise(adjusted, privacy, rng, sigma=sigma)
+    return ReleaseTrace(
+        raw=raw, estimate=estimate, factor=factor, adjusted=adjusted, released=released,
+    )
 
 
 @dataclass
@@ -183,7 +213,7 @@ class PartyRoundStats:
 class PassiveParty:
     """Feature-holding participant: extractor + release pipeline + local update.
 
-    Holds its raw feature slice and never sees labels. ``protected=False``
+    Holds its raw feature slice and never sees labels. ``privacy=None``
     models the unprotected baseline that shares raw embeddings. FCM splits
     the returned gradients into ``n_clusters`` weak clusters.
     """
@@ -212,11 +242,8 @@ class PassiveParty:
         self.sigma_override = sigma_override
         self._noise_rng = rng.split("noise", self.party_id)
         self._fcm_rng = rng.split("fcm", self.party_id)
-        self._trace: ReleaseTrace | None = None
-
-    @property
-    def protected(self) -> bool:
-        return self.privacy is not None
+        # The round whose update is still to come, and its release.
+        self._pending: tuple[int, ReleaseTrace] | None = None
 
     def compute_release(
         self,
@@ -225,30 +252,12 @@ class PassiveParty:
         batch_index: int = -1,
         timer: StageTimer | None = None,
     ) -> ReleaseTrace:
-        """Run forward -> clip -> estimate/rescale -> noise and keep buffers."""
+        """Run the extractor forward, then :func:`release` on its output."""
         with _stage(timer, StageTimer.BASE):
             raw = self.extractor.forward(x)
         _check_finite(raw, batch_index, f"party {self.party_id}", "the extractor output")
-        if not self.protected:
-            return ReleaseTrace(
-                batch_index=batch_index, raw=raw, clipped=raw, estimate=None,
-                factor=1.0, adjusted=raw, released=raw,
-            )
-        t = self.privacy.clip_threshold
-        with _stage(timer, StageTimer.BASE):
-            clipped = clip_norm(raw, t)
-        estimate, factor, adjusted = None, 1.0, clipped
-        if self.adaptive.rescale and clipped.shape[0] >= 2:
-            with _stage(timer, StageTimer.RESCALE):
-                estimate = estimate_local_sensitivity(clipped, self.adaptive.p2, t)
-                factor = rescale_factor(estimate, t)
-                adjusted = rescale(clipped, estimate, t)
-        with _stage(timer, StageTimer.NOISE):
-            released = add_noise(adjusted, self.privacy, noise_rng, sigma=self.sigma_override)
-        return ReleaseTrace(
-            batch_index=batch_index, raw=raw, clipped=clipped, estimate=estimate,
-            factor=factor, adjusted=adjusted, released=released,
-        )
+        return release(raw, self.privacy, self.adaptive, noise_rng,
+                       sigma=self.sigma_override, timer=timer)
 
     def embed_and_share(
         self,
@@ -258,8 +267,9 @@ class PassiveParty:
         timer: StageTimer | None = None,
     ) -> None:
         x = self.features[indices]
-        self._trace = self.compute_release(x, self._noise_rng, batch_index, timer)
-        channel.send(EmbeddingUp(self.party_id, batch_index, self._trace.released))
+        trace = self.compute_release(x, self._noise_rng, batch_index, timer)
+        self._pending = (batch_index, trace)
+        channel.send(EmbeddingUp(self.party_id, batch_index, trace.released))
 
     def receive_and_update(
         self,
@@ -273,11 +283,11 @@ class PassiveParty:
         ``true_labels`` is diagnostic-only (purity of the weak cluster labels);
         it never influences the update.
         """
-        if self._trace is None or self._trace.batch_index != batch_index:
+        if self._pending is None or self._pending[0] != batch_index:
             raise ProtocolError(
                 f"party {self.party_id} has no pending batch {batch_index}"
             )
-        trace = self._trace
+        trace = self._pending[1]
         message = channel.receive(GRADIENT_DOWN, self.party_id, batch_index)
         grad = np.asarray(message.grad)
         _check_finite(grad, batch_index, f"party {self.party_id}", "the returned gradient")
@@ -320,7 +330,7 @@ class PassiveParty:
         clipped_grad = trace.factor * adjusted_grad
 
         with _stage(timer, StageTimer.BASE):
-            if self.protected:
+            if self.privacy is not None:
                 embedding_grad = clip_norm_vjp(
                     trace.raw, self.privacy.clip_threshold, clipped_grad
                 )
@@ -328,7 +338,7 @@ class PassiveParty:
                 embedding_grad = clipped_grad
             grads, _ = self.extractor.backward(embedding_grad)
             sgd_step(self.extractor, grads, self.config)
-        self._trace = None
+        self._pending = None
         return stats
 
 
@@ -442,16 +452,14 @@ def evaluate(
     parties: Parties,
     dataset: VerticalDataset,
     rng: Rng,
-    with_noise: bool = True,
     repeats: int = 1,
 ) -> float:
-    """Accuracy of the joint model on a dataset split.
+    """Accuracy of the deployed joint model on a dataset split: the head
+    sees the released embeddings, as it would in deployment.
 
-    ``with_noise=True`` evaluates the deployed mechanism (the embeddings the
-    active party would actually see); ``False`` is the diagnostic mode.
-    ``repeats`` averages the noisy accuracy over several release draws for a
-    lower-variance estimate of the same deployed quantity. The repeats share
-    one pre-noise (forward, clip, rescale) pass per batch and party and only
+    ``repeats`` averages the accuracy over several release draws for a
+    lower-variance estimate of the same quantity. The repeats share one
+    pre-noise (forward, clip, rescale) pass per batch and party and only
     redraw the noise, draw ``i`` from ``rng.split("repeat", i)``.
 
     Evaluation runs the trained extractors themselves, so it refuses to run
@@ -462,14 +470,14 @@ def evaluate(
     if n == 0:
         raise ArgumentError("cannot evaluate an empty split")
     for party in parties.passives:
-        if party._trace is not None:
+        if party._pending is not None:
             raise ProtocolError(
-                f"party {party.party_id} has round {party._trace.batch_index} pending; "
+                f"party {party.party_id} has round {party._pending[0]} pending; "
                 "evaluate only between rounds"
             )
     step = parties.active.config.batch_size
     streams = [rng]
-    if repeats > 1 and with_noise:
+    if repeats > 1:
         streams = [rng.split("repeat", i) for i in range(repeats)]
     head = parties.active.head.copy()
     correct = [0] * len(streams)
@@ -479,10 +487,9 @@ def evaluate(
         for party in parties.passives:
             x = dataset.party_features[party.party_id][rows]
             trace = party.compute_release(x, streams[0].split("eval", party.party_id, start))
-            # Noise off shows the head the pre-noise batch, as add_noise at sigma 0 would.
-            released[0].append(trace.released if with_noise else trace.adjusted)
+            released[0].append(trace.released)
             for draws, stream in zip(released[1:], streams[1:]):
-                if party.protected:
+                if party.privacy is not None:
                     noise_rng = stream.split("eval", party.party_id, start)
                     draws.append(add_noise(trace.adjusted, party.privacy, noise_rng,
                                            sigma=party.sigma_override))
@@ -515,7 +522,6 @@ def train(
     data: DatasetSplits,
     rng: Rng,
     *,
-    evaluate_with_noise: bool = True,
     eval_repeats: int = 1,
     evaluate_each_epoch: bool = True,
     on_round=None,
@@ -571,8 +577,7 @@ def train(
             test_accuracy = None
             if evaluate_each_epoch:
                 test_accuracy = evaluate(
-                    parties, data.test, rng.split("eval-epoch", epoch),
-                    with_noise=evaluate_with_noise, repeats=eval_repeats,
+                    parties, data.test, rng.split("eval-epoch", epoch), repeats=eval_repeats,
                 )
             history.epochs.append(EpochMetrics(
                 epoch=epoch,

@@ -148,6 +148,16 @@ class TestTrainCommand:
         ("attack", {"attack.target_party": -1}, "attack.target_party"),
         ("attack", {"attack.shadows": 1}, "attack.shadows"),
         ("attack", {"attack.trials": 0}, "attack.trials"),
+        ("train", {"dataset": {"kind": "csv", "path": "d.csv", "halves": ["left", "right"],
+                               "columns": [{"name": "y", "kind": "label"}]}},
+         "dataset.halves"),
+        ("train", {"dataset": {"kind": "csv", "path": "d.csv", "limit": 0,
+                               "columns": [{"name": "y", "kind": "label"}]}},
+         "dataset.limit"),
+        ("timing", {"timing.rounds": -1}, "timing.rounds"),
+        ("attack", {"attack.eval_per_side": 0}, "attack.eval_per_side"),
+        ("attack", {"attack.attack_hidden": 0}, "attack.attack_hidden"),
+        ("attack", {"attack.decoder_hidden": [0]}, "attack.decoder_hidden[0]"),
     ])
     def test_refused_value_exit_2_before_any_output(self, tmp_path, capsys, command,
                                                     overrides, dotted):
@@ -275,6 +285,20 @@ class TestAttackCommand:
             "error: attack.target_party must be below the 2 passive parties of victim "
             f"'full', got {target}\n"
         )
+        assert not out.exists()
+
+    def test_victim_with_a_removed_key_exit_2(self, tmp_path, capsys):
+        victims = tmp_path / "victims"
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--out", str(victims / "full")]) == 0
+        resolved = victims / "full" / "resolved_config.json"
+        raw = json.loads(resolved.read_text())
+        raw["evaluation"]["with_noise"] = True
+        resolved.write_text(json.dumps(raw))
+        out = tmp_path / "attack"
+        assert main(["attack", "--config", str(cfg), "--victims", str(victims),
+                     "--out", str(out)]) == 2
+        assert "unknown config key: evaluation.with_noise" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_victims_dir_exit_2(self, tmp_path):

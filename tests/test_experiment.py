@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 from dataclasses import fields, is_dataclass
@@ -23,6 +24,14 @@ from dpvfl.experiment import (
     run_training,
 )
 from dpvfl.numerics import Rng
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+CSV_COLUMNS = [
+    {"name": "age", "kind": "numeric"},
+    {"name": "job", "kind": "categorical"},
+    {"name": "income", "kind": "label"},
+]
 
 
 def tiny_raw(**overrides):
@@ -52,7 +61,7 @@ class TestConfig:
 
     def test_unknown_nested_key_named(self):
         for dotted in ("training.momentum", "adaptive.fuzzifier", "adaptive.fcm_max_iter",
-                       "adaptive.fcm_tol", "adaptive.kl_diagnostic"):
+                       "adaptive.fcm_tol", "adaptive.kl_diagnostic", "evaluation.with_noise"):
             with pytest.raises(ConfigError, match=f"unknown config key: {dotted}$"):
                 parse_config(tiny_raw(**{dotted: 0.9}))
 
@@ -159,6 +168,20 @@ class TestConfig:
         ("attack.target_party", -1, "attack.target_party must be non-negative, got -1"),
         ("attack.shadows", 1, "attack.shadows must be at least 2, got 1"),
         ("attack.trials", 0, "attack.trials must be at least 1, got 0"),
+        ("attack.eval_per_side", 0, "attack.eval_per_side must be at least 1, got 0"),
+        ("attack.attack_hidden", 0, "attack.attack_hidden must be at least 1, got 0"),
+        ("attack.decoder_hidden", [0], "attack.decoder_hidden[0] must be at least 1, got 0"),
+        ("attack.decoder_hidden", [8, -1],
+         "attack.decoder_hidden[1] must be at least 1, got -1"),
+        ("timing.rounds", -1, "timing.rounds must be at least 1, got -1"),
+        ("timing.rounds", 0, "timing.rounds must be at least 1, got 0"),
+        ("dataset", {"kind": "csv", "path": "d.csv", "columns": CSV_COLUMNS,
+                     "halves": ["left", "right"]},
+         "dataset.halves does not apply to a csv dataset"),
+        ("dataset", {"kind": "csv", "path": "d.csv", "columns": CSV_COLUMNS, "limit": 0},
+         "dataset.limit must be at least 1, got 0"),
+        ("dataset", {"kind": "idx", "images": "i", "labels": "l", "limit": -2},
+         "dataset.limit must be at least 1, got -2"),
     ])
     def test_section_checks_named(self, dotted, value, expected):
         with pytest.raises(ConfigError) as excinfo:
@@ -202,6 +225,20 @@ class TestConfig:
         path.write_text(cfg.to_json())
         again = load_config(path)
         assert again == cfg and again.to_json() == cfg.to_json()
+
+    # perfbench's unprotected victim loads attack_victim.json with privacy off.
+    @pytest.mark.parametrize("name, privacy_off", [
+        *((path.name, False) for path in sorted(CONFIGS.glob("*.json"))),
+        ("attack_victim.json", True),
+    ])
+    def test_shipped_configs_load(self, tmp_path, name, privacy_off):
+        path = CONFIGS / name
+        if privacy_off:
+            raw = json.loads(path.read_text("utf-8"))
+            raw["privacy"]["enabled"] = False
+            path = tmp_path / "unprotected.json"
+            path.write_text(json.dumps(raw), "utf-8")
+        assert load_config(path).privacy.enabled is not privacy_off
 
     def test_readme_schema_table_names_every_field(self):
         """The README "Config schema" table lists exactly each section's fields."""
@@ -289,13 +326,6 @@ class TestBuilders:
         b = run_training(cfg)
         for ea, eb in zip(a.history.epochs, b.history.epochs):
             assert ea == eb
-
-
-CSV_COLUMNS = [
-    {"name": "age", "kind": "numeric"},
-    {"name": "job", "kind": "categorical"},
-    {"name": "income", "kind": "label"},
-]
 
 
 def write_csv_dataset(tmp_path):

@@ -5,10 +5,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dpvfl.config import ExperimentConfig, parse_config
+from dpvfl.config import AdaptiveSection, ExperimentConfig, parse_config
 from dpvfl.errors import ArgumentError, ProtocolError
 from dpvfl.experiment import build_dataset, build_parties
-from dpvfl.mechanism import calibrate_sigma
+from dpvfl.mechanism import PrivacyParams, calibrate_sigma, clip_norm
 from dpvfl.neural import DenseNet, cross_entropy_softmax, sgd_step
 from dpvfl.numerics import Rng
 from dpvfl.protocol import (
@@ -19,6 +19,7 @@ from dpvfl.protocol import (
     Parties,
     PassiveParty,
     evaluate,
+    release,
     run_round,
     sample_aligned_batch,
     train,
@@ -107,6 +108,63 @@ class TestSampleAlignedBatch:
         assert np.all(deviations <= 6 * se)
 
 
+def neighbours(kind: str, seed: int, t: float, n: int = 16, dim: int = 6):
+    """A batch and its neighbour, which differs from it in row 0 only."""
+    rng = np.random.default_rng(seed)
+    if kind == "cluster":
+        # Every row on the t-sphere near one direction; row 0 goes to its antipode.
+        rows = rng.normal(size=dim) + 0.01 * rng.normal(size=(n, dim))
+        batch = t * rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        moved = -batch[0]
+    elif kind == "far":
+        batch = rng.normal(size=(n, dim))
+        moved = 100.0 * rng.normal(size=dim)
+    else:  # "copy": row 0 becomes a copy of row 1
+        batch = rng.normal(size=(n, dim))
+        moved = batch[1]
+    other = batch.copy()
+    other[0] = moved
+    return batch, other
+
+
+class TestRelease:
+    T = 1.5
+    PRIVACY = PrivacyParams.from_budget(0.5, 1e-2, T)
+    VANILLA = AdaptiveSection(rescale=False, dist_adjust=False)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["cluster", "far", "copy"])
+    def test_neighbours_move_the_noised_batch_at_most_2t(self, kind, seed):
+        # The noise is calibrated to a Frobenius sensitivity of 2t, so the
+        # batch it is added to may move by at most 2t (mu <= 1/sigma).
+        batch, other = neighbours(kind, seed, self.T)
+        a = release(batch, self.PRIVACY, self.VANILLA, Rng(seed)).adjusted
+        b = release(other, self.PRIVACY, self.VANILLA, Rng(seed)).adjusted
+        assert np.linalg.norm(a - b) <= 2 * self.T * (1 + 1e-12)
+
+    def test_antipodal_cluster_row_reaches_the_bound(self):
+        batch, other = neighbours("cluster", 0, self.T)
+        a = release(batch, self.PRIVACY, self.VANILLA, Rng(0)).adjusted
+        b = release(other, self.PRIVACY, self.VANILLA, Rng(0)).adjusted
+        assert np.linalg.norm(a - b) == pytest.approx(2 * self.T, rel=1e-12)
+
+    def test_unprotected_releases_the_batch_itself(self):
+        batch = np.arange(12.0).reshape(4, 3)
+        trace = release(batch, None, AdaptiveSection(), Rng(0))
+        assert trace.adjusted is batch and trace.released is batch
+        assert trace.estimate is None and trace.factor == 1.0
+
+    def test_compute_release_is_the_forward_then_release(self):
+        cfg, data, parties = build_run(**{"privacy.sigma_override": 2.5})
+        party = parties.passives[1]
+        x = data.train.party_features[1][:16]
+        expected = release(party.extractor.copy().forward(x), party.privacy, party.adaptive,
+                           Rng(5), sigma=2.5)
+        trace = party.compute_release(x, Rng(5))
+        npt.assert_array_equal(trace.adjusted, expected.adjusted)
+        npt.assert_array_equal(trace.released, expected.released)
+
+
 class TestRunRound:
     def test_round_metrics_and_stats(self):
         cfg, data, parties = build_run()
@@ -140,7 +198,7 @@ class TestRunRound:
     def test_vanilla_gating_equals_manual_clip_noise_pipeline(self):
         # With both toggles off the released batch must equal clip + noise
         # applied directly, bit for bit.
-        from dpvfl.mechanism import add_noise, clip_norm
+        from dpvfl.mechanism import add_noise
 
         cfg, data, parties = build_run(**{
             "adaptive.rescale": False, "adaptive.dist_adjust": False,
@@ -156,19 +214,19 @@ class TestRunRound:
         npt.assert_array_equal(trace.released, expected)
         # No rescale step ran: the noise went onto the clipped batch itself.
         assert trace.estimate is None and trace.factor == 1.0
-        npt.assert_array_equal(trace.adjusted, trace.clipped)
+        npt.assert_array_equal(trace.adjusted, clip_norm(trace.raw, 1.0))
 
     def test_pipeline_order_witness(self):
         cfg, data, parties = build_run()
         indices = sample_aligned_batch(data.train.n_rows, 24, Rng(4))
         party = parties.passives[0]
-        channel = MessageChannel()
-        party.embed_and_share(indices, 0, channel)
-        trace = party._trace
-        assert np.linalg.norm(trace.clipped, axis=1).max() <= party.privacy.clip_threshold
+        t = party.privacy.clip_threshold
+        trace = party.compute_release(data.train.party_features[0][indices], Rng(4))
+        clipped = clip_norm(trace.raw, t)
+        assert np.linalg.norm(clipped, axis=1).max() <= t
         # Rescale ran on the clipped batch, before the noise.
         assert trace.estimate is not None
-        npt.assert_array_equal(trace.adjusted, trace.factor * trace.clipped)
+        npt.assert_array_equal(trace.adjusted, trace.factor * clipped)
         assert not np.array_equal(trace.released, trace.adjusted)
 
     def test_boundary_hygiene_spy(self):
@@ -196,7 +254,9 @@ class TestRunRound:
             assert party.privacy.sigma >= calibrate_sigma(0.5, 1e-2) - 1e-12
             x = data.train.party_features[party.party_id][:20]
             trace = party.compute_release(x, party._noise_rng)
-            assert np.linalg.norm(trace.clipped, axis=1).max() <= 1.0
+            # With rescale off, the noise goes onto the clipped batch.
+            npt.assert_array_equal(trace.adjusted, clip_norm(trace.raw, 1.0))
+            assert np.linalg.norm(trace.adjusted, axis=1).max() <= 1.0
 
 
 class TestTrain:
@@ -346,16 +406,10 @@ class TestCentralizedEquivalence:
 
 
 class TestEvaluate:
-    def test_noise_off_evaluation_is_deterministic_diagnostic(self):
-        cfg, data, parties = build_run()
-        a = evaluate(parties, data.test, Rng(1), with_noise=False)
-        b = evaluate(parties, data.test, Rng(2), with_noise=False)
-        assert a == b
-
     def test_noisy_evaluation_uses_rng(self):
         cfg, data, parties = build_run()
-        a = evaluate(parties, data.test, Rng(1), with_noise=True)
-        b = evaluate(parties, data.test, Rng(1), with_noise=True)
+        a = evaluate(parties, data.test, Rng(1))
+        b = evaluate(parties, data.test, Rng(1))
         assert a == b
 
     def test_repeats_equal_mean_of_single_draws(self):
@@ -391,8 +445,9 @@ class TestEvaluate:
             npt.assert_array_equal(party.compute_release(x, Rng(1)).adjusted,
                                    rebuilt.compute_release(x, Rng(1)).released)
         zero.active.head = parties.active.head.copy()
-        noise_off = evaluate(parties, data.test, Rng(1), with_noise=False, repeats=repeats)
-        assert noise_off == evaluate(zero, data.test, Rng(1), repeats=repeats)
+        # Noise off, evaluation draws nothing from its stream.
+        assert (evaluate(zero, data.test, Rng(1), repeats=repeats)
+                == evaluate(zero, data.test, Rng(2), repeats=repeats))
 
     def test_refuses_a_pending_round(self):
         cfg, data, parties = build_run()
