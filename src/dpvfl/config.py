@@ -73,6 +73,13 @@ class DatasetConfig:
         elif self.kind == "csv":
             if not self.path or not self.columns:
                 raise ConfigError("csv dataset needs 'path' and 'columns'")
+            names = [c.name for c in self.columns]
+            for i, name in enumerate(names):
+                _require(name not in names[:i], f"dataset.columns[{i}].name",
+                         "must differ from every earlier column name", name)
+            n_labels = sum(c.kind == LABEL for c in self.columns)
+            _require(n_labels == 1, "dataset.columns", "must hold exactly one label column",
+                     n_labels)
         elif self.kind == "idx":
             if not self.images or not self.labels:
                 raise ConfigError("idx dataset needs 'images' and 'labels'")
@@ -91,6 +98,15 @@ class DatasetConfig:
                      and set(self.halves) in ({"left", "right"}, {"top", "bottom"}),
                      "dataset.halves", "must be left and right or top and bottom", self.halves)
         _require(self.parties >= 1, "dataset.parties", "must be at least 1", self.parties)
+        # halves and ranges each fix the party count; it must be the one
+        # dataset.parties states.
+        if self.halves is not None:
+            _require(self.parties == 2, "dataset.parties", "must be 2 with dataset.halves",
+                     self.parties)
+        if self.ranges is not None:
+            _require(len(self.ranges) == self.parties, "dataset.ranges",
+                     f"must hold one range per party (dataset.parties is {self.parties})",
+                     self.ranges)
         _require(0 < self.test_fraction < 1, "dataset.test_fraction", "must lie in (0, 1)",
                  self.test_fraction)
 

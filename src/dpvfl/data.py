@@ -1,8 +1,9 @@
 """Dataset loading, encoding, vertical partitioning, and synthetic blobs.
 
 A loaded dataset becomes a :class:`Table` (dense float features + integer
-labels + alignment ids). Vertical partitioning slices feature columns
-across passive parties while labels stay with the active party's store.
+labels). :func:`column_sets` decides which feature columns each passive
+party holds and :func:`partition_splits` slices both splits by them,
+while labels stay with the active party's store.
 Feature encoding statistics (min-max ranges, category vocabularies, label
 vocabulary) are always fitted on the training split only.
 """
@@ -12,12 +13,12 @@ from __future__ import annotations
 import csv
 import gzip
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import CATEGORICAL, LABEL, NUMERIC, ColumnSpec, DatasetConfig
+from .config import CATEGORICAL, NUMERIC, DatasetConfig
 from .errors import ArgumentError, DataFormatError, PartitionPlanError
 from .numerics import Rng
 
@@ -29,15 +30,11 @@ class Table:
     features: np.ndarray          # (n, d) float64
     labels: np.ndarray            # (n,) int64
     n_classes: int
-    sample_ids: np.ndarray        # (n,) int64 alignment ids
-    feature_names: tuple[str, ...] | None = None
     image_shape: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
             raise ArgumentError("features and labels disagree on row count")
-        if self.sample_ids.shape[0] != self.labels.shape[0]:
-            raise ArgumentError("sample ids and labels disagree on row count")
 
     @property
     def n_rows(self) -> int:
@@ -48,13 +45,11 @@ class Table:
         return int(self.features.shape[1])
 
     def take(self, rows) -> "Table":
-        """The given rows, in order, with the column metadata kept."""
+        """The given rows, in order, with the image shape kept."""
         return Table(
             features=self.features[rows],
             labels=self.labels[rows],
             n_classes=self.n_classes,
-            sample_ids=self.sample_ids[rows],
-            feature_names=self.feature_names,
             image_shape=self.image_shape,
         )
 
@@ -76,7 +71,6 @@ class VerticalDataset:
     party_features: tuple[np.ndarray, ...]
     labels: np.ndarray
     n_classes: int
-    sample_ids: np.ndarray
 
     def __post_init__(self):
         n = self.labels.shape[0]
@@ -98,7 +92,6 @@ class VerticalDataset:
             party_features=tuple(f[rows] for f in self.party_features),
             labels=self.labels[rows],
             n_classes=self.n_classes,
-            sample_ids=self.sample_ids[rows],
         )
 
 
@@ -112,130 +105,67 @@ class DatasetSplits:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RawColumns:
-    """Parsed but unencoded CSV content, column-major."""
-
-    schema: tuple[ColumnSpec, ...]
-    numeric: dict[str, np.ndarray]
-    categorical: dict[str, list[str]]
-    labels: list[str]
-    n_rows: int
-
-
-def load_csv(path, schema) -> RawColumns:
+def load_csv(path, schema) -> list[np.ndarray]:
     """Parse a headered CSV against the declared schema.
 
-    Every schema column must be present; exactly one column must be the
-    label. Numeric cells that fail to parse report their line and column.
+    Returns one array per schema column: float64 for a numeric column, the
+    stripped cells for the others. Every schema column must be present. The
+    first bad line in file order, a wrong cell count or a numeric cell that
+    fails to parse, is reported with its line (and column).
     """
-    specs = tuple(schema)
-    label_cols = [s for s in specs if s.kind == LABEL]
-    if len(label_cols) != 1:
-        raise ArgumentError(f"schema must declare exactly one label column, got {len(label_cols)}")
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"{path}: no such file")
-    numeric: dict[str, list[float]] = {s.name: [] for s in specs if s.kind == NUMERIC}
-    categorical: dict[str, list[str]] = {s.name: [] for s in specs if s.kind == CATEGORICAL}
-    labels: list[str] = []
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        positions = {}
-        for spec in specs:
+        for spec in schema:
             if spec.name not in header:
                 raise DataFormatError(f"{path}: missing column {spec.name!r}")
-            positions[spec.name] = header.index(spec.name)
-        n_rows = 0
+        # Rows past a line of the wrong width are never reported.
+        line_nos, rows, short = [], [], None
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}"
-                )
-            for spec in specs:
-                cell = row[positions[spec.name]].strip()
-                if spec.kind == NUMERIC:
-                    try:
-                        numeric[spec.name].append(float(cell))
-                    except ValueError:
-                        raise DataFormatError(
-                            f"{path}: line {line_no}: column {spec.name!r}: "
-                            f"not numeric: {cell!r}"
-                        ) from None
-                elif spec.kind == CATEGORICAL:
-                    categorical[spec.name].append(cell)
-                else:
-                    labels.append(cell)
-            n_rows += 1
-    if n_rows == 0:
+                short = (line_no, len(row))
+                break
+            line_nos.append(line_no)
+            rows.append(row)
+    cells = np.char.strip(np.array(rows, dtype=str).reshape(len(rows), len(header)))
+    columns, failures = [], []
+    for order, spec in enumerate(schema):
+        column = cells[:, header.index(spec.name)]
+        if spec.kind == NUMERIC:
+            try:
+                column = column.astype(np.float64)
+            except ValueError:
+                failures.append((_first_non_numeric(column), order))
+        columns.append(column)
+    if failures:
+        row, order = min(failures)
+        raise DataFormatError(
+            f"{path}: line {line_nos[row]}: column {schema[order].name!r}: "
+            f"not numeric: {str(columns[order][row])!r}"
+        )
+    if short is not None:
+        raise DataFormatError(
+            f"{path}: line {short[0]}: expected {len(header)} cells, got {short[1]}"
+        )
+    if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    return RawColumns(
-        schema=specs,
-        numeric={k: np.asarray(v, dtype=np.float64) for k, v in numeric.items()},
-        categorical=categorical,
-        labels=labels,
-        n_rows=n_rows,
-    )
+    return columns
 
 
-@dataclass
-class FeatureEncoder:
-    """Train-split-fitted encoder: min-max scaling plus frozen one-hot vocabularies."""
-
-    schema: tuple[ColumnSpec, ...]
-    numeric_ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
-    vocabularies: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    label_vocab: tuple[str, ...] = ()
-
-    def fit(self, raw: RawColumns, fit_rows: np.ndarray) -> "FeatureEncoder":
-        for spec in self.schema:
-            if spec.kind == NUMERIC:
-                col = raw.numeric[spec.name][fit_rows]
-                self.numeric_ranges[spec.name] = (float(col.min()), float(col.max()))
-            elif spec.kind == CATEGORICAL:
-                values = [raw.categorical[spec.name][i] for i in fit_rows]
-                self.vocabularies[spec.name] = tuple(sorted(set(values)))
-        self.label_vocab = tuple(sorted({raw.labels[i] for i in fit_rows}))
-        return self
-
-    def transform(self, raw: RawColumns, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-        blocks, names = [], []
-        for spec in self.schema:
-            if spec.kind == NUMERIC:
-                lo, hi = self.numeric_ranges[spec.name]
-                col = raw.numeric[spec.name][rows]
-                if hi > lo:
-                    scaled = (col - lo) / (hi - lo)
-                else:
-                    scaled = np.zeros_like(col)
-                blocks.append(scaled[:, None])
-                names.append(spec.name)
-            elif spec.kind == CATEGORICAL:
-                vocab = self.vocabularies[spec.name]
-                block = np.zeros((rows.size, len(vocab)))
-                index = {v: i for i, v in enumerate(vocab)}
-                for out_row, i in enumerate(rows):
-                    # Unknown test-time category leaves the whole block zero.
-                    slot = index.get(raw.categorical[spec.name][i])
-                    if slot is not None:
-                        block[out_row, slot] = 1.0
-                blocks.append(block)
-                names.extend(f"{spec.name}={v}" for v in vocab)
-        label_index = {v: i for i, v in enumerate(self.label_vocab)}
-        labels = np.empty(rows.size, dtype=np.int64)
-        for out_row, i in enumerate(rows):
-            value = raw.labels[i]
-            if value not in label_index:
-                raise DataFormatError(f"label {value!r} absent from the training split")
-            labels[out_row] = label_index[value]
-        return np.hstack(blocks), labels, tuple(names)
+def _first_non_numeric(cells) -> int:
+    for i, cell in enumerate(cells):
+        try:
+            float(cell)
+        except ValueError:
+            return i
 
 
 def _split_rows(n_rows: int, test_fraction: float, seed: int, tag: str):
@@ -250,21 +180,33 @@ def _split_rows(n_rows: int, test_fraction: float, seed: int, tag: str):
     return order[n_test:], order[:n_test]
 
 
-def encode_csv_dataset(raw: RawColumns, test_fraction: float, seed: int) -> tuple[Table, Table]:
-    """Seeded shuffle-split, then encode both splits with train-fitted statistics."""
-    train_rows, test_rows = _split_rows(raw.n_rows, test_fraction, seed, "csv-split")
-    encoder = FeatureEncoder(schema=raw.schema).fit(raw, train_rows)
-    tables = []
-    for rows in (train_rows, test_rows):
-        features, labels, names = encoder.transform(raw, rows)
-        tables.append(Table(
-            features=features,
-            labels=labels,
-            n_classes=len(encoder.label_vocab),
-            sample_ids=np.asarray(rows, dtype=np.int64),
-            feature_names=names,
-        ))
-    return tables[0], tables[1]
+def encode_csv_dataset(columns, schema, test_fraction: float, seed: int) -> tuple[Table, Table]:
+    """Seeded shuffle-split, then encode both splits with train-fitted statistics.
+
+    Numeric columns are min-max scaled, categorical columns one-hot encoded
+    over the sorted training vocabulary, and labels indexed into the sorted
+    training labels.
+    """
+    train_rows, test_rows = _split_rows(columns[0].shape[0], test_fraction, seed, "csv-split")
+    blocks = []
+    for spec, column in zip(schema, columns):
+        fit = column[train_rows]
+        if spec.kind == NUMERIC:
+            lo, hi = fit.min(), fit.max()
+            scaled = (column - lo) / (hi - lo) if hi > lo else np.zeros_like(column)
+            blocks.append(scaled[:, None])
+        elif spec.kind == CATEGORICAL:
+            # An unknown test-time category leaves the whole block zero.
+            blocks.append((column[:, None] == np.unique(fit)).astype(np.float64))
+        else:
+            vocab = np.unique(fit)
+            tested = column[test_rows]
+            unseen = tested[~np.isin(tested, vocab)]
+            if unseen.size:
+                raise DataFormatError(f"label {str(unseen[0])!r} absent from the training split")
+            labels = np.searchsorted(vocab, column).astype(np.int64)
+    table = Table(features=np.hstack(blocks), labels=labels, n_classes=vocab.size)
+    return table.take(train_rows), table.take(test_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +230,7 @@ def _read_idx_bytes(path) -> bytes:
 def load_idx(images_path, labels_path) -> Table:
     """Parse big-endian IDX image/label files into a flattened float table.
 
-    Pixels are scaled to [0, 1]; images are flattened row-major. Alignment
-    ids are the record positions.
+    Pixels are scaled to [0, 1]; images are flattened row-major.
     """
     img = _read_idx_bytes(images_path)
     lab = _read_idx_bytes(labels_path)
@@ -321,7 +262,6 @@ def load_idx(images_path, labels_path) -> Table:
         features=pixels.reshape(count, rows * cols),
         labels=labels,
         n_classes=int(labels.max()) + 1 if count else 0,
-        sample_ids=np.arange(count, dtype=np.int64),
         image_shape=(rows, cols),
     )
 
@@ -336,46 +276,20 @@ def split_table(table: Table, test_fraction: float, seed: int) -> tuple[Table, T
 # Vertical partitioning
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ColumnRangePlan:
-    """Half-open [start, stop) column ranges, one per passive party."""
+def column_sets(ds: DatasetConfig, table: Table) -> list[np.ndarray]:
+    """The feature columns each passive party holds, in party order.
 
-    ranges: tuple[tuple[int, int], ...]
-
-    def column_sets(self, n_features: int, image_shape=None) -> list[np.ndarray]:
-        claimed = np.zeros(n_features, dtype=np.int64)
-        sets = []
-        for start, stop in self.ranges:
-            if not 0 <= start < stop <= n_features:
-                raise PartitionPlanError(
-                    f"range [{start}, {stop}) invalid for {n_features} columns"
-                )
-            claimed[start:stop] += 1
-            sets.append(np.arange(start, stop, dtype=np.int64))
-        if np.any(claimed > 1):
-            dup = int(np.flatnonzero(claimed > 1)[0])
-            raise PartitionPlanError(f"column {dup} assigned to more than one party")
-        if np.any(claimed == 0):
-            missing = int(np.flatnonzero(claimed == 0)[0])
-            raise PartitionPlanError(f"column {missing} not assigned to any party")
-        return sets
-
-
-@dataclass(frozen=True)
-class ImageHalfPlan:
-    """Give each party one half of a row-major flattened image, in the
-    order ``halves`` names them (``left``/``right`` or ``top``/``bottom``)."""
-
-    halves: tuple[str, str]
-
-    def column_sets(self, n_features: int, image_shape) -> list[np.ndarray]:
-        if image_shape is None:
+    ``ds.halves`` gives each party one half of a row-major flattened image,
+    in the order it names them; else ``ds.ranges`` gives each party a
+    half-open [start, stop) range; else the columns are split into
+    ``ds.parties`` contiguous near-even runs. The ranges must cover every
+    column exactly once.
+    """
+    n_features = table.n_features
+    if ds.halves:
+        if table.image_shape is None:
             raise PartitionPlanError("image-half plan needs a table with an image shape")
-        rows, cols = image_shape
-        if rows * cols != n_features:
-            raise PartitionPlanError(
-                f"image shape {image_shape} does not explain {n_features} columns"
-            )
+        rows, cols = table.image_shape
         grid = np.arange(n_features, dtype=np.int64).reshape(rows, cols)
         pieces = {
             "left": grid[:, : cols // 2],
@@ -383,34 +297,40 @@ class ImageHalfPlan:
             "top": grid[: rows // 2, :],
             "bottom": grid[rows // 2:, :],
         }
-        return [pieces[h].ravel() for h in self.halves]
+        return [pieces[h].ravel() for h in ds.halves]
+    if ds.ranges:
+        ranges = ds.ranges
+    else:
+        if ds.parties > n_features:
+            raise PartitionPlanError(
+                f"cannot split {n_features} columns across {ds.parties} parties"
+            )
+        edges = np.linspace(0, n_features, ds.parties + 1).round().astype(int)
+        ranges = zip(edges[:-1], edges[1:])
+    sets = []
+    for start, stop in ranges:
+        if not 0 <= start < stop <= n_features:
+            raise PartitionPlanError(f"range [{start}, {stop}) invalid for {n_features} columns")
+        sets.append(np.arange(start, stop, dtype=np.int64))
+    claimed = np.bincount(np.concatenate(sets), minlength=n_features)
+    for bad, rule in ((claimed > 1, "assigned to more than one party"),
+                      (claimed == 0, "not assigned to any party")):
+        if bad.any():
+            raise PartitionPlanError(f"column {int(np.flatnonzero(bad)[0])} {rule}")
+    return sets
 
 
-def even_column_plan(n_features: int, parties: int) -> ColumnRangePlan:
-    """Contiguous near-even split of the feature columns."""
-    if parties < 1 or parties > n_features:
-        raise PartitionPlanError(f"cannot split {n_features} columns across {parties} parties")
-    edges = np.linspace(0, n_features, parties + 1).round().astype(int)
-    return ColumnRangePlan(tuple((int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])))
+def partition_splits(train: Table, test: Table, sets) -> DatasetSplits:
+    """Slice both splits' feature columns across the parties by the same
+    column sets; labels go only to the label store."""
+    def partition(table: Table) -> VerticalDataset:
+        return VerticalDataset(
+            party_features=tuple(np.ascontiguousarray(table.features[:, cols]) for cols in sets),
+            labels=table.labels.copy(),
+            n_classes=table.n_classes,
+        )
 
-
-def partition_vertical(table: Table, plan) -> VerticalDataset:
-    """Slice feature columns across parties; labels go only to the label store."""
-    sets = plan.column_sets(table.n_features, table.image_shape)
-    return VerticalDataset(
-        party_features=tuple(np.ascontiguousarray(table.features[:, cols]) for cols in sets),
-        labels=table.labels.copy(),
-        n_classes=table.n_classes,
-        sample_ids=table.sample_ids.copy(),
-    )
-
-
-def partition_splits(train: Table, test: Table, plan) -> DatasetSplits:
-    """Partition both splits by the same plan."""
-    return DatasetSplits(
-        train=partition_vertical(train, plan),
-        test=partition_vertical(test, plan),
-    )
+    return DatasetSplits(train=partition(train), test=partition(test))
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +345,5 @@ def make_synthetic(ds: DatasetConfig, seed: int) -> tuple[Table, Table]:
     features = rng.normal(0.0, 1.0, (n, ds.dim)) * ds.spread
     labels = np.repeat(np.arange(ds.classes, dtype=np.int64), ds.per_class)
     features[np.arange(n), labels] += 1.0
-    table = Table(
-        features=features,
-        labels=labels,
-        n_classes=ds.classes,
-        sample_ids=np.arange(n, dtype=np.int64),
-    )
+    table = Table(features=features, labels=labels, n_classes=ds.classes)
     return split_table(table, ds.test_fraction, seed)

@@ -9,11 +9,9 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import (
-    ColumnRangePlan,
     DatasetSplits,
-    ImageHalfPlan,
+    column_sets,
     encode_csv_dataset,
-    even_column_plan,
     load_csv,
     load_idx,
     make_synthetic,
@@ -40,19 +38,14 @@ def build_dataset(cfg: ExperimentConfig) -> DatasetSplits:
     if ds.kind == "synthetic":
         train_table, test_table = make_synthetic(ds, cfg.seed)
     elif ds.kind == "csv":
-        raw = load_csv(ds.path, ds.columns)
-        train_table, test_table = encode_csv_dataset(raw, ds.test_fraction, cfg.seed)
+        columns = load_csv(ds.path, ds.columns)
+        train_table, test_table = encode_csv_dataset(columns, ds.columns, ds.test_fraction,
+                                                     cfg.seed)
         train_table = train_table.head(ds.limit)
     else:  # idx; DatasetConfig refuses any other kind
         table = load_idx(ds.images, ds.labels).head(ds.limit)
         train_table, test_table = split_table(table, ds.test_fraction, cfg.seed)
-    if ds.halves:
-        plan = ImageHalfPlan(tuple(ds.halves))
-    elif ds.ranges:
-        plan = ColumnRangePlan(tuple((int(a), int(b)) for a, b in ds.ranges))
-    else:
-        plan = even_column_plan(train_table.n_features, ds.parties)
-    return partition_splits(train_table, test_table, plan)
+    return partition_splits(train_table, test_table, column_sets(ds, train_table))
 
 
 def privacy_params(cfg: ExperimentConfig) -> PrivacyParams | None:

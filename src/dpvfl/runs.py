@@ -108,14 +108,19 @@ def training_summary(result: RunResult, runtime_seconds: float) -> dict:
     passives = result.parties.passives
     if passives and passives[0].privacy is not None:
         p = passives[0].privacy
+        override = passives[0].sigma_override
+        note = "per-round budget; no cross-round composition is claimed"
+        if override is not None and override < p.sigma:
+            note = (f"sigma_override {override} is below the calibrated sigma {p.sigma}: "
+                    "the stated (epsilon, delta) does not hold for this run")
         privacy = {
             "epsilon": p.epsilon,
             "delta": p.delta,
             "clip_threshold": p.clip_threshold,
             "sigma": p.sigma,
             "delta_prime": p.delta / (cfg.privacy.p1 * cfg.adaptive.p2),
-            "sigma_override": passives[0].sigma_override,
-            "note": "per-round budget; no cross-round composition is claimed",
+            "sigma_override": override,
+            "note": note,
         }
     return {
         "dataset": {

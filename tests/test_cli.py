@@ -4,6 +4,7 @@ import pytest
 
 from dpvfl import cli
 from dpvfl.cli import main
+from dpvfl.mechanism import PrivacyParams
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -158,6 +159,18 @@ class TestTrainCommand:
         ("attack", {"attack.eval_per_side": 0}, "attack.eval_per_side"),
         ("attack", {"attack.attack_hidden": 0}, "attack.attack_hidden"),
         ("attack", {"attack.decoder_hidden": [0]}, "attack.decoder_hidden[0]"),
+        ("train", {"dataset": {"kind": "csv", "path": "d.csv",
+                               "columns": [{"name": "age", "kind": "numeric"},
+                                           {"name": "age", "kind": "numeric"},
+                                           {"name": "y", "kind": "label"}]}},
+         "dataset.columns[1].name"),
+        ("train", {"dataset": {"kind": "csv", "path": "d.csv",
+                               "columns": [{"name": "y", "kind": "label"},
+                                           {"name": "z", "kind": "label"}]}},
+         "dataset.columns"),
+        ("train", {"dataset.ranges": [[0, 2], [2, 4], [4, 6]]}, "dataset.ranges"),
+        ("train", {"dataset": {"kind": "idx", "images": "i", "labels": "l", "parties": 3,
+                               "halves": ["left", "right"]}}, "dataset.parties"),
     ])
     def test_refused_value_exit_2_before_any_output(self, tmp_path, capsys, command,
                                                     overrides, dotted):
@@ -169,6 +182,24 @@ class TestTrainCommand:
         assert err.startswith(f"error: {dotted} ") or err.startswith(
             f"error: missing config key: {dotted}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("factor, voided", [(None, False), (0.0, True), (0.5, True),
+                                                (1.0, False), (2.0, False)])
+    def test_summary_note_says_when_the_budget_does_not_hold(self, tmp_path, factor, voided):
+        # The calibrated sigma of write_config's budget, about 6.2.
+        sigma = PrivacyParams.from_budget(epsilon=0.5, delta=0.01, clip_threshold=1.0).sigma
+        override = None if factor is None else factor * sigma
+        cfg = write_config(tmp_path, **{"privacy.sigma_override": override})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        privacy = json.loads((out / "summary.json").read_text())["privacy"]
+        assert privacy["sigma"] == sigma and privacy["sigma_override"] == override
+        if voided:
+            assert privacy["note"] == (
+                f"sigma_override {override} is below the calibrated sigma {sigma}: "
+                "the stated (epsilon, delta) does not hold for this run")
+        else:
+            assert privacy["note"] == "per-round budget; no cross-round composition is claimed"
 
     def test_seed_and_toggle_overrides(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -9,11 +9,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dpvfl.config import ExperimentConfig, load_config, parse_config
+from dpvfl.config import ColumnSpec, ExperimentConfig, load_config, parse_config
 from dpvfl.errors import ConfigError
 from dpvfl import experiment
 from dpvfl import protocol
-from dpvfl.data import ColumnSpec, Table, encode_csv_dataset, load_csv, load_idx, split_table
+from dpvfl.data import Table, encode_csv_dataset, load_csv, load_idx, split_table
 from dpvfl.experiment import (
     VflVictim,
     _shadow_run,
@@ -182,6 +182,19 @@ class TestConfig:
          "dataset.limit must be at least 1, got 0"),
         ("dataset", {"kind": "idx", "images": "i", "labels": "l", "limit": -2},
          "dataset.limit must be at least 1, got -2"),
+        ("dataset", {"kind": "csv", "path": "d.csv", "columns": CSV_COLUMNS + CSV_COLUMNS[:1]},
+         "dataset.columns[3].name must differ from every earlier column name, got 'age'"),
+        ("dataset", {"kind": "csv", "path": "d.csv",
+                     "columns": CSV_COLUMNS + [{"name": "band", "kind": "label"}]},
+         "dataset.columns must hold exactly one label column, got 2"),
+        ("dataset", {"kind": "csv", "path": "d.csv", "columns": CSV_COLUMNS[:2]},
+         "dataset.columns must hold exactly one label column, got 0"),
+        ("dataset.ranges", [[0, 2], [2, 4], [4, 6]],
+         "dataset.ranges must hold one range per party (dataset.parties is 2), "
+         "got [[0, 2], [2, 4], [4, 6]]"),
+        ("dataset", {"kind": "idx", "images": "i", "labels": "l", "parties": 3,
+                     "halves": ["left", "right"]},
+         "dataset.parties must be 2 with dataset.halves, got 3"),
     ])
     def test_section_checks_named(self, dotted, value, expected):
         with pytest.raises(ConfigError) as excinfo:
@@ -304,8 +317,9 @@ class TestBuilders:
             npt.assert_array_equal(
                 np.hstack(split.party_features), np.hstack(reference.party_features)
             )
+            # Gaussian features make every row distinct, so equal stacks
+            # mean the same rows in the same order.
             npt.assert_array_equal(split.labels, reference.labels)
-            npt.assert_array_equal(split.sample_ids, reference.sample_ids)
 
     def test_unprotected_mode(self):
         cfg = parse_config(tiny_raw(**{
@@ -353,9 +367,9 @@ def partitioned_tables(monkeypatch) -> dict:
     seen = {}
     original = experiment.partition_splits
 
-    def spy(train, test, plan):
+    def spy(train, test, sets):
         seen.update(train=train, test=test)
-        return original(train, test, plan)
+        return original(train, test, sets)
 
     monkeypatch.setattr(experiment, "partition_splits", spy)
     return seen
@@ -369,8 +383,9 @@ class TestFileDatasets:
         }))
 
     def encoded(self, path, cfg):
-        raw = load_csv(path, tuple(ColumnSpec(c["name"], c["kind"]) for c in CSV_COLUMNS))
-        return encode_csv_dataset(raw, cfg.dataset.test_fraction, cfg.seed)
+        schema = tuple(ColumnSpec(c["name"], c["kind"]) for c in CSV_COLUMNS)
+        return encode_csv_dataset(load_csv(path, schema), schema, cfg.dataset.test_fraction,
+                                  cfg.seed)
 
     @pytest.mark.parametrize("limit", [None, 10, 500])
     def test_csv_split_limit_and_names(self, tmp_path, monkeypatch, limit):
@@ -382,13 +397,18 @@ class TestFileDatasets:
         keep = train.n_rows if limit is None else min(limit, train.n_rows)
         npt.assert_array_equal(np.hstack(data.train.party_features), train.features[:keep])
         npt.assert_array_equal(data.train.labels, train.labels[:keep])
-        npt.assert_array_equal(data.train.sample_ids, train.sample_ids[:keep])
         # The limit trims the training split only.
         npt.assert_array_equal(np.hstack(data.test.party_features), test.features)
-        npt.assert_array_equal(data.test.sample_ids, test.sample_ids)
+        npt.assert_array_equal(data.test.labels, test.labels)
         assert data.train.n_classes == data.test.n_classes == 2
-        assert seen["train"].feature_names == train.feature_names
-        assert train.feature_names == ("age", "job=clerk", "job=nurse", "job=smith")
+        npt.assert_array_equal(seen["train"].features, train.features[:keep])
+        # Row i has age 20 + 3i, so an age's rank over both splits is its row,
+        # and row i's job is clerk, nurse, smith for i % 3 = 0, 1, 2: the
+        # columns are age, then the sorted job vocabulary.
+        ages = np.concatenate([train.features[:, 0], test.features[:, 0]])
+        rows = np.argsort(np.argsort(ages))
+        assert train.n_features == 4
+        npt.assert_array_equal(train.features[:, 1:], np.eye(3)[rows[:train.n_rows] % 3])
 
     def test_csv_column_ranges(self, tmp_path):
         path = write_csv_dataset(tmp_path)
@@ -414,15 +434,19 @@ class TestFileDatasets:
         data = build_dataset(cfg)
         table = load_idx(images, labels)
         first = Table(features=table.features[:12], labels=table.labels[:12],
-                      n_classes=table.n_classes, sample_ids=table.sample_ids[:12],
-                      image_shape=table.image_shape)
+                      n_classes=table.n_classes, image_shape=table.image_shape)
         train, test = split_table(first, cfg.dataset.test_fraction, cfg.seed)
         assert seen["train"].image_shape == seen["test"].image_shape == (4, 4)
         grid = np.arange(16).reshape(4, 4)
         first_half = grid[:, :2] if halves[0] == "left" else grid[:2, :]
-        npt.assert_array_equal(data.train.party_features[0], train.features[:, first_half.ravel()])
-        npt.assert_array_equal(data.test.party_features[0], test.features[:, first_half.ravel()])
-        npt.assert_array_equal(data.train.sample_ids, train.sample_ids)
+        second_half = grid[:, 2:] if halves[0] == "left" else grid[2:, :]
+        # Random pixels make every image distinct, so equal halves mean the
+        # same images in the same order.
+        for split, table in ((data.train, train), (data.test, test)):
+            npt.assert_array_equal(split.party_features[0], table.features[:, first_half.ravel()])
+            npt.assert_array_equal(split.party_features[1],
+                                   table.features[:, second_half.ravel()])
+            npt.assert_array_equal(split.labels, table.labels)
         assert data.train.n_rows + data.test.n_rows == 12
         assert data.train.n_classes == 3
 
