@@ -136,21 +136,23 @@ def load_csv(path, schema) -> list[np.ndarray]:
             line_nos.append(line_no)
             rows.append(row)
     cells = np.char.strip(np.array(rows, dtype=str).reshape(len(rows), len(header)))
-    columns, failures = [], []
-    for order, spec in enumerate(schema):
-        column = cells[:, header.index(spec.name)]
-        if spec.kind == NUMERIC:
-            try:
-                column = column.astype(np.float64)
-            except ValueError:
-                failures.append((_first_non_numeric(column), order))
-        columns.append(column)
-    if failures:
-        row, order = min(failures)
-        raise DataFormatError(
-            f"{path}: line {line_nos[row]}: column {schema[order].name!r}: "
-            f"not numeric: {str(columns[order][row])!r}"
-        )
+    columns = [cells[:, header.index(spec.name)] for spec in schema]
+    numeric = [order for order, spec in enumerate(schema) if spec.kind == NUMERIC]
+    try:
+        for order in numeric:
+            columns[order] = columns[order].astype(np.float64)
+    except ValueError:
+        # Name the first cell that fails: in file order, then schema order.
+        for row in range(len(rows)):
+            for order in numeric:
+                cell = str(columns[order][row])
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}: line {line_nos[row]}: column {schema[order].name!r}: "
+                        f"not numeric: {cell!r}"
+                    ) from None
     if short is not None:
         raise DataFormatError(
             f"{path}: line {short[0]}: expected {len(header)} cells, got {short[1]}"
@@ -158,14 +160,6 @@ def load_csv(path, schema) -> list[np.ndarray]:
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return columns
-
-
-def _first_non_numeric(cells) -> int:
-    for i, cell in enumerate(cells):
-        try:
-            float(cell)
-        except ValueError:
-            return i
 
 
 def _split_rows(n_rows: int, test_fraction: float, seed: int, tag: str):

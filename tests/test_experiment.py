@@ -314,11 +314,11 @@ class TestBuilders:
         data = build_dataset(cfg)
         for split, reference in ((data.train, default.train), (data.test, default.test)):
             assert [f.shape[1] for f in split.party_features] == widths
+            # Gaussian features make every row distinct, so equal stacks
+            # mean the same rows in the same order.
             npt.assert_array_equal(
                 np.hstack(split.party_features), np.hstack(reference.party_features)
             )
-            # Gaussian features make every row distinct, so equal stacks
-            # mean the same rows in the same order.
             npt.assert_array_equal(split.labels, reference.labels)
 
     def test_unprotected_mode(self):
