@@ -76,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args) -> ExperimentConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError(f"--seed must fit in u64, got {args.seed}")
         cfg = replace(cfg, seed=args.seed)
     if args.toggle_rescale is not None:
         cfg = replace(cfg, adaptive=replace(cfg.adaptive, rescale=args.toggle_rescale))
@@ -86,21 +84,26 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _out_dir(args, cfg: ExperimentConfig, default_name: str) -> Path:
-    if args.out:
-        return Path(args.out)
-    if cfg.out_dir:
-        return Path(cfg.out_dir)
-    root = os.environ.get(OUT_ROOT_ENV, "runs")
-    return Path(root) / default_name
+def _open_run_dir(args, cfg: ExperimentConfig) -> Path:
+    """The run directory, created, with the resolved config written into it."""
+    default = Path(os.environ.get(OUT_ROOT_ENV, "runs"), f"{args.command}-seed{cfg.seed}")
+    run_dir = runs.prepare_run_dir(args.out or cfg.out_dir or default, force=args.force)
+    runs.write_config(run_dir, cfg)
+    return run_dir
+
+
+def _require_mechanism_for_adjustments(cfg: ExperimentConfig) -> None:
+    # The adjustments act on the clipped, noised release.
+    for key, flag in (("rescale", "--toggle-rescale"), ("dist_adjust", "--toggle-distadj")):
+        if not cfg.privacy.enabled and getattr(cfg.adaptive, key):
+            raise ConfigError(f"adaptive.{key} needs privacy.enabled; set privacy.enabled "
+                              f"to true or pass {flag} false")
 
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    run_dir = runs.prepare_run_dir(
-        _out_dir(args, cfg, f"train-seed{cfg.seed}"), force=args.force
-    )
-    runs.write_config(run_dir, cfg)
+    _require_mechanism_for_adjustments(cfg)
+    run_dir = _open_run_dir(args, cfg)
     log = runs.EventLog(run_dir)
     started = time.perf_counter()
     try:
@@ -124,10 +127,10 @@ def cmd_ablate(args) -> int:
     if cfg.training.epochs < 1:
         # Each cell reports its final epoch's test accuracy.
         raise ConfigError("ablate needs training.epochs of at least 1")
-    run_dir = runs.prepare_run_dir(
-        _out_dir(args, cfg, f"ablate-seed{cfg.seed}"), force=args.force
-    )
-    runs.write_config(run_dir, cfg)
+    if not cfg.privacy.enabled:
+        # Its +rescale, +distadj and full cells add the adjustments to the mechanism.
+        raise ConfigError("privacy.enabled must be true for ablate, got False")
+    run_dir = _open_run_dir(args, cfg)
     seeds = cfg.ablate.seeds or [cfg.seed]
     rows = []
     cell_accuracies: dict[str, list[float]] = {}
@@ -178,10 +181,7 @@ def cmd_attack(args) -> int:
         if target >= parties:
             raise ConfigError(f"attack.target_party must be below the {parties} passive parties "
                               f"of victim {tag!r}, got {target}")
-    run_dir = runs.prepare_run_dir(
-        _out_dir(args, cfg, f"attack-seed{cfg.seed}"), force=args.force
-    )
-    runs.write_config(run_dir, cfg)
+    run_dir = _open_run_dir(args, cfg)
     reports = run_attack_suite(cfg, victims)
     by_victim: dict[str, dict] = {}
     for report in reports:
@@ -214,17 +214,15 @@ def cmd_attack(args) -> int:
 
 def cmd_timing(args) -> int:
     cfg = _resolve_config(args)
-    run_dir = runs.prepare_run_dir(
-        _out_dir(args, cfg, f"timing-seed{cfg.seed}"), force=args.force
-    )
-    runs.write_config(run_dir, cfg)
+    _require_mechanism_for_adjustments(cfg)
+    run_dir = _open_run_dir(args, cfg)
     seconds = measure_stage_times(cfg)
     total = sum(seconds.values())
     rows = []
-    for stage in ("base", "noise", "rescale", "dist_adjust"):
-        share = 100.0 * seconds[stage] / total if total > 0 else 0.0
-        rows.append([stage, seconds[stage] * 1000.0, share])
-        print(f"timing: {stage:12s} {seconds[stage] * 1000.0:10.2f} ms  {share:6.2f}%")
+    for stage, stage_seconds in seconds.items():
+        share = 100.0 * stage_seconds / total if total > 0 else 0.0
+        rows.append([stage, stage_seconds * 1000.0, share])
+        print(f"timing: {stage:12s} {stage_seconds * 1000.0:10.2f} ms  {share:6.2f}%")
     runs.write_table_csv(
         run_dir / "timing.csv", ["stage", "time_ms", "share_pct"], rows
     )

@@ -27,6 +27,11 @@ def _require(ok: bool, dotted: str, rule: str, value) -> None:
         raise ConfigError(f"{dotted} {rule}, got {value!r}")
 
 
+def _require_seed(seed: int, dotted: str) -> None:
+    # numerics.Rng takes 64-bit unsigned seeds.
+    _require(0 <= seed < 2**64, dotted, "must lie in [0, 2**64)", seed)
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
     """One CSV column of ``dataset.columns``: its header name and its kind."""
@@ -97,6 +102,10 @@ class DatasetConfig:
             _require(len(self.halves) == 2
                      and set(self.halves) in ({"left", "right"}, {"top", "bottom"}),
                      "dataset.halves", "must be left and right or top and bottom", self.halves)
+        if self.kind == "csv":
+            _require(len(self.columns) > 1, "dataset.columns",
+                     "must hold a numeric or categorical column besides the label",
+                     [c.name for c in self.columns])
         _require(self.parties >= 1, "dataset.parties", "must be at least 1", self.parties)
         # halves and ranges each fix the party count; it must be the one
         # dataset.parties states.
@@ -104,6 +113,9 @@ class DatasetConfig:
             _require(self.parties == 2, "dataset.parties", "must be 2 with dataset.halves",
                      self.parties)
         if self.ranges is not None:
+            for i, pair in enumerate(self.ranges):
+                _require(len(pair) == 2, f"dataset.ranges[{i}]", "must be a [start, stop] pair",
+                         pair)
             _require(len(self.ranges) == self.parties, "dataset.ranges",
                      f"must hold one range per party (dataset.parties is {self.parties})",
                      self.ranges)
@@ -233,6 +245,10 @@ class AttackConfig:
 class AblateConfig:
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
 
+    def __post_init__(self):
+        for i, seed in enumerate(self.seeds):
+            _require_seed(seed, f"ablate.seeds[{i}]")
+
 
 @dataclass
 class TimingConfig:
@@ -261,6 +277,7 @@ class ExperimentConfig:
     timing: TimingConfig = field(default_factory=TimingConfig)
 
     def __post_init__(self):
+        _require_seed(self.seed, "seed")
         # delta' = delta / (p1 * p2) is the failure probability the summary
         # reports for the quantile-based rescale.
         if self.privacy.enabled:

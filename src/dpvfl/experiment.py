@@ -48,18 +48,6 @@ def build_dataset(cfg: ExperimentConfig) -> DatasetSplits:
     return partition_splits(train_table, test_table, column_sets(ds, train_table))
 
 
-def privacy_params(cfg: ExperimentConfig) -> PrivacyParams | None:
-    p = cfg.privacy
-    if not p.enabled:
-        return None
-    return PrivacyParams.from_budget(
-        epsilon=p.epsilon,
-        delta=p.delta,
-        clip_threshold=p.clip_threshold,
-        allow_large_epsilon=p.allow_large_epsilon,
-    )
-
-
 def build_parties(cfg: ExperimentConfig, data: DatasetSplits) -> Parties:
     """Seeded extractors/head plus per-party privacy and adaptive settings.
 
@@ -67,7 +55,10 @@ def build_parties(cfg: ExperimentConfig, data: DatasetSplits) -> Parties:
     so its input width is the sum of the per-party embedding dims.
     """
     root = Rng(cfg.seed)
-    privacy = privacy_params(cfg)
+    p = cfg.privacy
+    privacy = PrivacyParams.from_budget(
+        p.epsilon, p.delta, p.clip_threshold, allow_large_epsilon=p.allow_large_epsilon,
+    ) if p.enabled else None
     passives = []
     for pid in range(data.train.n_parties):
         dims = (
@@ -86,7 +77,7 @@ def build_parties(cfg: ExperimentConfig, data: DatasetSplits) -> Parties:
             adaptive=cfg.adaptive,
             n_clusters=data.train.n_classes,
             rng=root,
-            sigma_override=cfg.privacy.sigma_override if privacy is not None else None,
+            sigma_override=p.sigma_override if privacy is not None else None,
         ))
     head_dims = (
         [cfg.model.embedding_dim * data.train.n_parties]
@@ -122,8 +113,8 @@ def run_training(cfg: ExperimentConfig, on_round=None) -> RunResult:
 def measure_stage_times(cfg: ExperimentConfig) -> dict[str, float]:
     """Wall-time per pipeline stage over a fixed budget of rounds.
 
-    Returns seconds for the four accounted stages (base forward/backward,
-    noise, rescale, dist-adjust); disabled stages report 0.0.
+    Returns seconds for the four accounted stages, in the order base,
+    noise, rescale, dist_adjust; disabled stages report 0.0.
     """
     from .protocol import MessageChannel, run_round, sample_aligned_batch
 
@@ -139,11 +130,7 @@ def measure_stage_times(cfg: ExperimentConfig) -> dict[str, float]:
     for round_index in range(cfg.timing.rounds):
         indices = sample_aligned_batch(data.train.n_rows, batch_size, rng)
         run_round(parties, indices, round_index, channel, timer=timer)
-    return {
-        stage: timer.seconds.get(stage, 0.0)
-        for stage in (StageTimer.BASE, StageTimer.NOISE,
-                      StageTimer.RESCALE, StageTimer.DIST_ADJUST)
-    }
+    return dict(timer.seconds)
 
 
 class VflVictim:

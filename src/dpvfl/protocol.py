@@ -28,6 +28,7 @@ import numpy as np
 
 from .adaptive import (
     MIN_RETAINED_ROWS,
+    FuzzyAssignment,
     SensitivityEstimate,
     contrastive_loss,
     estimate_local_sensitivity,
@@ -39,7 +40,7 @@ from .adaptive import (
 )
 from .config import AdaptiveSection, TrainingSection
 from .data import DatasetSplits, VerticalDataset
-from .errors import ArgumentError, InsufficientRetainedError, ProtocolError
+from .errors import ArgumentError, ProtocolError
 from .mechanism import PrivacyParams, add_noise, clip_norm, clip_norm_vjp
 from .neural import DenseNet, cross_entropy_softmax, sgd_step
 # Unused here, but perfbench traces numerics.pairwise_distances through this name.
@@ -51,66 +52,48 @@ EMBEDDING_UP = "embedding_up"
 GRADIENT_DOWN = "gradient_down"
 
 
-def _frozen_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
-class EmbeddingUp:
-    """Upstream payload: one party's released (post-noise) embedding batch."""
+class Message:
+    """A released embedding batch or its gradient, as a read-only float64 copy."""
 
+    kind: str
     party_id: int
     batch_index: int
-    embeddings: np.ndarray
+    payload: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "embeddings", _frozen_array(self.embeddings))
-
-    kind = EMBEDDING_UP
-
-
-@dataclass(frozen=True)
-class GradientDown:
-    """Downstream payload: the loss gradient for one party's shared batch."""
-
-    party_id: int
-    batch_index: int
-    grad: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "grad", _frozen_array(self.grad))
-
-    kind = GRADIENT_DOWN
+        payload = np.array(self.payload, dtype=np.float64)
+        payload.flags.writeable = False
+        object.__setattr__(self, "payload", payload)
 
 
 class MessageChannel:
     """In-process exchange with the same schema a socket transport would carry.
 
-    Messages are immutable snapshots; everything sent stays in ``log`` so a
-    test spy can audit boundary hygiene.
+    Each (kind, party, round) holds at most one pending message; everything
+    sent stays in ``log`` so a test spy can audit boundary hygiene.
     """
 
     def __init__(self):
-        self._queues: dict[tuple[str, int, int], list] = {}
-        self.log: list = []
+        self._pending: dict[tuple[str, int, int], Message] = {}
+        self.log: list[Message] = []
 
-    def send(self, message) -> None:
+    def send(self, message: Message) -> None:
         key = (message.kind, message.party_id, message.batch_index)
-        self._queues.setdefault(key, []).append(message)
+        if key in self._pending:
+            raise ProtocolError(
+                f"a {message.kind} message for party {message.party_id} "
+                f"in round {message.batch_index} is still pending"
+            )
+        self._pending[key] = message
         self.log.append(message)
 
-    def receive(self, kind: str, party_id: int, batch_index: int):
-        key = (kind, party_id, batch_index)
-        queue = self._queues.get(key)
-        if not queue:
+    def receive(self, kind: str, party_id: int, batch_index: int) -> Message:
+        message = self._pending.pop((kind, party_id, batch_index), None)
+        if message is None:
             raise ProtocolError(
                 f"no {kind} message from/for party {party_id} in round {batch_index}"
             )
-        message = queue.pop(0)
-        if not queue:
-            del self._queues[key]
         return message
 
 
@@ -123,7 +106,7 @@ class StageTimer:
     DIST_ADJUST = "dist_adjust"
 
     def __init__(self):
-        self.seconds: dict[str, float] = {}
+        self.seconds = dict.fromkeys((self.BASE, self.NOISE, self.RESCALE, self.DIST_ADJUST), 0.0)
 
     @contextmanager
     def stage(self, name: str):
@@ -131,7 +114,7 @@ class StageTimer:
         try:
             yield
         finally:
-            self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - start
+            self.seconds[name] += time.perf_counter() - start
 
 
 def _stage(timer: StageTimer | None, name: str):
@@ -206,6 +189,7 @@ class PartyRoundStats:
     delta_local: float | None = None
     purity: float | None = None
     retained: int | None = None
+    assignment: FuzzyAssignment | None = None
     kl_loss: float | None = None
     cl_loss: float | None = None
 
@@ -269,27 +253,22 @@ class PassiveParty:
         x = self.features[indices]
         trace = self.compute_release(x, self._noise_rng, batch_index, timer)
         self._pending = (batch_index, trace)
-        channel.send(EmbeddingUp(self.party_id, batch_index, trace.released))
+        channel.send(Message(EMBEDDING_UP, self.party_id, batch_index, trace.released))
 
     def receive_and_update(
         self,
         batch_index: int,
         channel: MessageChannel,
-        true_labels: np.ndarray | None = None,
         timer: StageTimer | None = None,
     ) -> PartyRoundStats:
-        """Consume the returned gradient, add auxiliary losses, step the extractor.
-
-        ``true_labels`` is diagnostic-only (purity of the weak cluster labels);
-        it never influences the update.
-        """
+        """Consume the returned gradient, add auxiliary losses, step the extractor."""
         if self._pending is None or self._pending[0] != batch_index:
             raise ProtocolError(
                 f"party {self.party_id} has no pending batch {batch_index}"
             )
         trace = self._pending[1]
         message = channel.receive(GRADIENT_DOWN, self.party_id, batch_index)
-        grad = np.asarray(message.grad)
+        grad = message.payload
         _check_finite(grad, batch_index, f"party {self.party_id}", "the returned gradient")
         stats = PartyRoundStats(
             delta_local=None if trace.estimate is None else trace.estimate.delta_local
@@ -315,11 +294,7 @@ class PassiveParty:
             adjusted_grad = adjusted_grad + cl_grad
             stats.cl_loss = cl_loss
             stats.retained = assignment.n_retained
-            if true_labels is not None and not assignment.degenerate:
-                try:
-                    stats.purity = purity(assignment, true_labels, use_mask=True)
-                except InsufficientRetainedError:
-                    stats.purity = None
+            stats.assignment = assignment
 
         if self.adaptive.rescale and self.config.alpha != 0.0 and trace.adjusted.shape[0] >= 4:
             with _stage(timer, StageTimer.RESCALE):
@@ -366,7 +341,7 @@ class ActiveParty:
         """Lines: concatenate, optimize, exchange per-party gradients."""
         messages = [channel.receive(EMBEDDING_UP, pid, batch_index) for pid in passive_ids]
         with _stage(timer, StageTimer.BASE):
-            concat = np.hstack([np.asarray(m.embeddings) for m in messages])
+            concat = np.hstack([m.payload for m in messages])
             if concat.shape[1] != self.head.input_dim:
                 raise ProtocolError(
                     f"concatenated width {concat.shape[1]} does not match the "
@@ -381,9 +356,9 @@ class ActiveParty:
             sgd_step(self.head, grads, self.config)
             offset = 0
             for message in messages:
-                width = message.embeddings.shape[1]
-                channel.send(GradientDown(
-                    message.party_id, batch_index,
+                width = message.payload.shape[1]
+                channel.send(Message(
+                    GRADIENT_DOWN, message.party_id, batch_index,
                     input_grad[:, offset:offset + width],
                 ))
                 offset += width
@@ -427,12 +402,12 @@ def run_round(
     parties: Parties,
     indices: np.ndarray,
     batch_index: int,
-    channel: MessageChannel | None = None,
+    channel: MessageChannel,
     batch_labels_for_diagnostics: np.ndarray | None = None,
     timer: StageTimer | None = None,
 ) -> RoundMetrics:
-    """One full communication round over an aligned mini-batch."""
-    channel = channel if channel is not None else MessageChannel()
+    """One full communication round over an aligned mini-batch. The labels stay
+    here, scoring each party's confidence-filtered weak clusters by purity."""
     for party in parties.passives:
         party.embed_and_share(indices, batch_index, channel, timer)
     loss, accuracy = parties.active.aggregate_and_step(
@@ -440,9 +415,12 @@ def run_round(
     )
     stats = {}
     for party in parties.passives:
-        stats[party.party_id] = party.receive_and_update(
-            batch_index, channel, true_labels=batch_labels_for_diagnostics, timer=timer
-        )
+        party_stats = party.receive_and_update(batch_index, channel, timer=timer)
+        kept = party_stats.assignment
+        if (batch_labels_for_diagnostics is not None and kept is not None
+                and not kept.degenerate and kept.n_retained > 0):
+            party_stats.purity = purity(kept, batch_labels_for_diagnostics, use_mask=True)
+        stats[party.party_id] = party_stats
     return RoundMetrics(
         round_index=batch_index, loss=loss, accuracy=accuracy, party_stats=stats
     )

@@ -171,6 +171,23 @@ class TestTrainCommand:
         ("train", {"dataset.ranges": [[0, 2], [2, 4], [4, 6]]}, "dataset.ranges"),
         ("train", {"dataset": {"kind": "idx", "images": "i", "labels": "l", "parties": 3,
                                "halves": ["left", "right"]}}, "dataset.parties"),
+        ("train", {"privacy.enabled": False}, "adaptive.rescale"),
+        ("train", {"privacy.enabled": False, "adaptive.rescale": False},
+         "adaptive.dist_adjust"),
+        ("timing", {"privacy.enabled": False}, "adaptive.rescale"),
+        ("timing", {"privacy.enabled": False, "adaptive.rescale": False},
+         "adaptive.dist_adjust"),
+        ("ablate", {"privacy.enabled": False}, "privacy.enabled"),
+        ("ablate", {"privacy.enabled": False, "adaptive.rescale": False,
+                    "adaptive.dist_adjust": False}, "privacy.enabled"),
+        ("train", {"seed": -1}, "seed"),
+        ("train", {"seed": 2**64}, "seed"),
+        ("ablate", {"ablate.seeds": [3, -1]}, "ablate.seeds[1]"),
+        ("ablate", {"ablate.seeds": [2**64]}, "ablate.seeds[0]"),
+        ("train", {"dataset": {"kind": "csv", "path": "d.csv",
+                               "columns": [{"name": "y", "kind": "label"}]}}, "dataset.columns"),
+        ("train", {"dataset.ranges": [[0, 1, 2], [2, 4]]}, "dataset.ranges[0]"),
+        ("train", {"dataset.ranges": [[0, 3], [3]]}, "dataset.ranges[1]"),
     ])
     def test_refused_value_exit_2_before_any_output(self, tmp_path, capsys, command,
                                                     overrides, dotted):
@@ -200,6 +217,24 @@ class TestTrainCommand:
                 "the stated (epsilon, delta) does not hold for this run")
         else:
             assert privacy["note"] == "per-round budget; no cross-round composition is claimed"
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "timing"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_flag_exit_2_before_any_output(self, tmp_path, capsys, command,
+                                                             seed):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--seed", seed]) == 2
+        assert capsys.readouterr().err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+        assert not out.exists()
+
+    def test_toggles_off_allow_privacy_off(self, tmp_path):
+        cfg = write_config(tmp_path, **{"privacy.enabled": False})
+        off = ["--toggle-rescale", "false", "--toggle-distadj", "false"]
+        for command in ("train", "timing"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out), *off]) == 0
+            assert (out / "summary.json").exists()
 
     def test_seed_and_toggle_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -368,6 +403,38 @@ class TestTimingCommand:
         assert shares["noise"] == 0.0
         assert shares["rescale"] == 0.0
         assert shares["dist_adjust"] == 0.0
+
+
+class TestRunDirectory:
+    """--out, else the config's out_dir, else $DPVFL_OUT/<command>-seed<N>."""
+
+    @pytest.fixture(scope="class")
+    def victims(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("victims")
+        return TestAttackCommand()._train_victims(tmp, write_config(tmp))
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "timing", "attack"])
+    @pytest.mark.parametrize("where", ["default", "out_dir", "out"])
+    def test_precedence(self, tmp_path, monkeypatch, victims, command, where):
+        monkeypatch.setenv("DPVFL_OUT", str(tmp_path / "root"))
+        overrides = {} if where == "default" else {"out_dir": str(tmp_path / "from_config")}
+        cfg = write_config(tmp_path, **overrides)
+        argv = [command, "--config", str(cfg), "--seed", "6"]
+        if command == "attack":
+            argv += ["--victims", str(victims)]
+        if where == "out":
+            argv += ["--out", str(tmp_path / "from_flag")]
+        assert main(argv) == 0
+        run_dir = {
+            "default": tmp_path / "root" / f"{command}-seed6",
+            "out_dir": tmp_path / "from_config",
+            "out": tmp_path / "from_flag",
+        }[where]
+        assert json.loads((run_dir / "resolved_config.json").read_text())["seed"] == 6
+        assert (run_dir / "summary.json").exists()
+        # No other directory was made.
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["cfg.json", run_dir.relative_to(tmp_path).parts[0]])
 
 
 class TestUsage:

@@ -573,6 +573,10 @@ class TestTiming:
         shares = [100 * v / total for v in seconds.values()]
         assert abs(sum(shares) - 100.0) < 0.1
 
+    def test_stage_keys_in_table_order(self):
+        cfg = parse_config(tiny_raw(**{"timing.rounds": 1}))
+        assert list(measure_stage_times(cfg)) == ["base", "noise", "rescale", "dist_adjust"]
+
     def test_disabled_stages_zero(self):
         cfg = parse_config(tiny_raw(**{
             "privacy.enabled": False,

@@ -1,10 +1,12 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dpvfl import protocol
+from dpvfl.adaptive import purity
 from dpvfl.config import AdaptiveSection, ExperimentConfig, parse_config
 from dpvfl.errors import ArgumentError, ProtocolError
 from dpvfl.experiment import build_dataset, build_parties
@@ -13,8 +15,8 @@ from dpvfl.neural import DenseNet, cross_entropy_softmax, sgd_step
 from dpvfl.numerics import Rng
 from dpvfl.protocol import (
     EMBEDDING_UP,
-    EmbeddingUp,
-    GradientDown,
+    GRADIENT_DOWN,
+    Message,
     MessageChannel,
     Parties,
     PassiveParty,
@@ -56,12 +58,15 @@ def build_run(**overrides):
 
 class TestMessages:
     def test_payloads_are_immutable(self):
-        msg = EmbeddingUp(0, 1, np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            msg.embeddings[0, 0] = 5.0
-        msg = GradientDown(0, 1, np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            msg.grad[0, 0] = 5.0
+        for kind in (EMBEDDING_UP, GRADIENT_DOWN):
+            values = np.ones((2, 2), dtype=np.float32)
+            msg = Message(kind, 0, 1, values)
+            assert msg.payload.dtype == np.float64
+            with pytest.raises(ValueError):
+                msg.payload[0, 0] = 5.0
+            # The payload is a copy: the sender's buffer stays its own.
+            values[0, 0] = 5.0
+            assert msg.payload[0, 0] == 1.0
 
     def test_rounds_leave_no_queued_keys(self):
         cfg, data, parties = build_run()
@@ -70,13 +75,33 @@ class TestMessages:
         for batch_index in range(3):
             indices = sample_aligned_batch(data.train.n_rows, 24, rng)
             run_round(parties, indices, batch_index, channel)
-        assert channel._queues == {}
+        assert channel._pending == {}
         assert len(channel.log) == 12
 
     def test_missing_message_names_party_and_round(self):
         channel = MessageChannel()
         with pytest.raises(ProtocolError, match="party 3 in round 7"):
             channel.receive(EMBEDDING_UP, 3, 7)
+
+    def test_second_send_for_a_pending_key_refused(self):
+        channel = MessageChannel()
+        channel.send(Message(GRADIENT_DOWN, 2, 5, np.ones((3, 2))))
+        with pytest.raises(ProtocolError,
+                           match="a gradient_down message for party 2 in round 5 "
+                                 "is still pending"):
+            channel.send(Message(GRADIENT_DOWN, 2, 5, np.zeros((3, 2))))
+        # The refused message was neither queued nor logged.
+        assert len(channel.log) == 1
+        npt.assert_array_equal(channel.receive(GRADIENT_DOWN, 2, 5).payload, np.ones((3, 2)))
+        # Once received, the key can be sent again.
+        channel.send(Message(GRADIENT_DOWN, 2, 5, np.zeros((3, 2))))
+        npt.assert_array_equal(channel.receive(GRADIENT_DOWN, 2, 5).payload, np.zeros((3, 2)))
+        # Other kinds, parties and rounds are other keys.
+        for message in (Message(EMBEDDING_UP, 2, 5, np.ones((1, 1))),
+                        Message(GRADIENT_DOWN, 3, 5, np.ones((1, 1))),
+                        Message(GRADIENT_DOWN, 2, 6, np.ones((1, 1)))):
+            channel.send(message)
+        assert len(channel._pending) == 3
 
 
 class TestSampleAlignedBatch:
@@ -169,7 +194,7 @@ class TestRunRound:
     def test_round_metrics_and_stats(self):
         cfg, data, parties = build_run()
         indices = sample_aligned_batch(data.train.n_rows, 24, Rng(2))
-        metrics = run_round(parties, indices, 0,
+        metrics = run_round(parties, indices, 0, MessageChannel(),
                             batch_labels_for_diagnostics=data.train.labels[indices])
         assert np.isfinite(metrics.loss)
         assert 0.0 <= metrics.accuracy <= 1.0
@@ -183,14 +208,59 @@ class TestRunRound:
         lone = Parties(passives=parties.passives[:1], active=parties.active)
         indices = sample_aligned_batch(data.train.n_rows, 24, Rng(2))
         with pytest.raises(ProtocolError, match="width"):
-            run_round(lone, indices, 0)
+            run_round(lone, indices, 0, MessageChannel())
+
+    def test_purity_is_scored_by_the_label_holder(self):
+        cfg, data, parties = build_run()
+        channel = MessageChannel()
+        rng = Rng(6)
+        scored = 0
+        for batch_index in range(4):
+            indices = sample_aligned_batch(data.train.n_rows, 24, rng)
+            labels = data.train.labels[indices]
+            metrics = run_round(parties, indices, batch_index, channel,
+                                batch_labels_for_diagnostics=labels)
+            for stats in metrics.party_stats.values():
+                assignment = stats.assignment
+                assert assignment is not None and assignment.n_retained == stats.retained
+                if assignment.n_retained:
+                    assert stats.purity == purity(assignment, labels, use_mask=True)
+                    scored += 1
+                else:
+                    assert stats.purity is None
+        assert scored > 0
+        # Without labels nothing is scored.
+        indices = sample_aligned_batch(data.train.n_rows, 24, rng)
+        metrics = run_round(parties, indices, 4, channel)
+        assert all(s.assignment is not None and s.purity is None
+                   for s in metrics.party_stats.values())
+
+    @pytest.mark.parametrize("change", ["degenerate", "keeps no row"])
+    def test_purity_none_when_the_assignment_cannot_be_scored(self, monkeypatch, change):
+        original = protocol.fcm
+
+        def patched(*args, **kwargs):
+            assignment, centers = original(*args, **kwargs)
+            if change == "degenerate":
+                return replace(assignment, degenerate=True), centers
+            return replace(assignment, confidences=np.zeros_like(assignment.confidences)), centers
+
+        monkeypatch.setattr(protocol, "fcm", patched)
+        cfg, data, parties = build_run()
+        indices = sample_aligned_batch(data.train.n_rows, 24, Rng(2))
+        metrics = run_round(parties, indices, 0, MessageChannel(),
+                            batch_labels_for_diagnostics=data.train.labels[indices])
+        for stats in metrics.party_stats.values():
+            assert stats.assignment is not None and stats.purity is None
+            assert stats.assignment.degenerate == (change == "degenerate")
+            assert (stats.retained == 0) == (change == "keeps no row")
 
     def test_non_finite_returned_gradient_names_round_and_party(self):
         cfg, data, parties = build_run()
         party = parties.passives[1]
         channel = MessageChannel()
         party.embed_and_share(np.arange(24), 4, channel)
-        channel.send(GradientDown(1, 4, np.full((24, 6), np.inf)))
+        channel.send(Message(GRADIENT_DOWN, 1, 4, np.full((24, 6), np.inf)))
         with pytest.raises(ProtocolError,
                            match="round 4, party 1: non-finite values in the returned gradient"):
             party.receive_and_update(4, channel)
@@ -243,7 +313,7 @@ class TestRunRound:
             party = parties.passives[message.party_id]
             x = data.train.party_features[message.party_id]
             raw = party.extractor.copy().forward(x)
-            for row in np.asarray(message.embeddings):
+            for row in message.payload:
                 assert not np.any(np.all(np.isclose(raw, row, atol=1e-12), axis=1))
 
     def test_noise_calibration_precondition_witness(self):
