@@ -93,7 +93,7 @@ def _open_run_dir(args, cfg: ExperimentConfig) -> Path:
 
 
 def _require_mechanism_for_adjustments(cfg: ExperimentConfig) -> None:
-    # The adjustments act on the clipped, noised release.
+    # The adjustments act on the clipped batch, which only the mechanism makes.
     for key, flag in (("rescale", "--toggle-rescale"), ("dist_adjust", "--toggle-distadj")):
         if not cfg.privacy.enabled and getattr(cfg.adaptive, key):
             raise ConfigError(f"adaptive.{key} needs privacy.enabled; set privacy.enabled "
