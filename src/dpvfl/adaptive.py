@@ -278,6 +278,7 @@ def fcm(
     max_iter: int = 100,
     tol: float = 1e-5,
     rng: Rng | None = None,
+    init=None,
 ) -> tuple[FuzzyAssignment, np.ndarray]:
     """Fuzzy c-means fixed-point iteration.
 
@@ -285,19 +286,25 @@ def fcm(
     are the membership^m-weighted means, and iteration stops when the
     largest center movement drops below ``tol``. Cluster ids are argmax
     memberships (ties -> lowest id) and confidence is the max membership.
-    Centers start at ``n_clusters`` distinct sampled rows; if the batch has
-    fewer distinct rows than clusters the result is flagged degenerate.
+
+    Centers start at ``init``, an ``n_clusters`` x l array in the batch's
+    coordinates (a warm start from an earlier call's centers), or else at
+    ``n_clusters`` distinct rows drawn from ``rng``. The draw also replaces
+    an ``init`` with coincident rows, which would stay coincident. If the
+    batch has fewer distinct rows than clusters the result is flagged
+    degenerate, and its centers are drawn from all rows.
 
     The iteration runs on the batch ``q`` centered on its mean, with all
     squared distances and all center sums each taken from one matrix
     product; an update where a squared distance is at most
-    ``1e-9 * max |q|^2``, as at the first one, uses exact differences.
+    ``1e-9 * max |q|^2``, as at the first one from drawn rows, uses exact
+    differences.
 
     Beyond about 2^±500 squared distances overflow or underflow and the
     memberships become 0/0, so a batch whose largest entry lies there is
     clustered as its copy scaled by a power of two into [0.5, 1), with
-    ``tol`` scaled alike, and its centers are scaled back. The scaling is
-    exact.
+    ``tol`` and ``init`` scaled alike, and its centers are scaled back. The
+    scaling is exact.
     """
     p = as_matrix(points, "points")
     n = p.shape[0]
@@ -307,13 +314,21 @@ def fcm(
         raise ArgumentError(f"fuzzifier must exceed 1, got {fuzzifier}")
     if n < n_clusters:
         raise ArgumentError(f"{n} rows cannot form {n_clusters} clusters")
+    if init is not None:
+        init = as_matrix(init, "init")
+        if init.shape != (n_clusters, p.shape[1]):
+            raise ArgumentError(
+                f"init must hold {n_clusters} centers of width {p.shape[1]}, "
+                f"got shape {init.shape}"
+            )
     if rng is None:
         rng = Rng(0)
     largest = float(np.abs(p).max())
     if largest > 2.0**500 or 0.0 < largest < 2.0**-500:
         unit = math.ldexp(1.0, math.frexp(largest)[1])
         assignment, centers = fcm(
-            p / unit, n_clusters, fuzzifier, max_iter, tol / unit, rng
+            p / unit, n_clusters, fuzzifier, max_iter, tol / unit, rng,
+            None if init is None else init / unit,
         )
         return assignment, centers * unit
 
@@ -322,6 +337,8 @@ def fcm(
     if degenerate:
         picks = rng.choice(n, size=n_clusters, replace=False)
         centers = p[picks]
+    elif init is not None and _unique_rows(init).shape[0] == n_clusters:
+        centers = init
     else:
         picks = rng.choice(unique_rows.shape[0], size=n_clusters, replace=False)
         centers = unique_rows[picks]
@@ -336,16 +353,22 @@ def fcm(
     lifted[:, :dim] = q
     lifted[:, dim] = 1.0
     lifted[:, dim + 1] = sq_norms
+    weighted = lifted[:, :-1]
     near = 1e-9 * float(sq_norms.max())
     coeffs = np.ones((n_clusters, dim + 2))
-    u = _memberships(q, centers, fuzzifier)
+    # Drawn centers are batch rows, so this first update takes the exact path.
+    u = _lifted_memberships(lifted, coeffs, q, centers, fuzzifier, near)
     for _ in range(max_iter):
         w = u**fuzzifier
-        sums = w.T @ lifted[:, :-1]
+        sums = w.T @ weighted
         mass = sums[:, -1]
-        # A dead cluster keeps its center.
-        new_centers = np.divide(sums[:, :-1], mass[:, None], out=centers.copy(),
-                                where=(mass > 1e-300)[:, None])
+        alive = mass > 1e-300
+        if alive.all():
+            new_centers = sums[:, :-1] / mass[:, None]
+        else:
+            # A dead cluster keeps its center.
+            new_centers = np.divide(sums[:, :-1], mass[:, None], out=centers.copy(),
+                                    where=alive[:, None])
         step = new_centers - centers
         movement = math.sqrt(float(np.einsum("ij,ij->i", step, step).max()))
         centers = new_centers

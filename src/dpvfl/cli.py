@@ -215,8 +215,9 @@ def cmd_attack(args) -> int:
 def cmd_timing(args) -> int:
     cfg = _resolve_config(args)
     _require_mechanism_for_adjustments(cfg)
-    run_dir = _open_run_dir(args, cfg)
+    # Measured first, so a refused timing batch size leaves no run directory.
     seconds = measure_stage_times(cfg)
+    run_dir = _open_run_dir(args, cfg)
     total = sum(seconds.values())
     rows = []
     for stage, stage_seconds in seconds.items():

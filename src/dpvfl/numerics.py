@@ -55,6 +55,9 @@ class Rng:
     or a short string tag). Identical ``(seed, path)`` always reproduces the
     identical stream, so per-party streams stay stable no matter in which
     order the parties run.
+
+    The generator is built on the first draw: many split streams are never
+    drawn from, and building one costs more than the split itself.
     """
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
@@ -63,8 +66,11 @@ class Rng:
             raise ArgumentError("seed must fit in an unsigned 64-bit integer")
         self.seed = seed
         self.path = tuple(_path_part(p) for p in path)
+
+    @functools.cached_property
+    def _gen(self) -> np.random.Generator:
         sequence = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        self._gen = np.random.Generator(np.random.Philox(sequence))
+        return np.random.Generator(np.random.Philox(sequence))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Rng(seed={self.seed}, path={self.path})"

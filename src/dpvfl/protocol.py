@@ -199,7 +199,9 @@ class PassiveParty:
 
     Holds its raw feature slice and never sees labels. ``privacy=None``
     models the unprotected baseline that shares raw embeddings. FCM splits
-    the returned gradients into ``n_clusters`` weak clusters.
+    the returned gradients into ``n_clusters`` weak clusters, starting from
+    the centers of the party's last non-degenerate round; the first round,
+    and a round after a degenerate one, draw them from the round's stream.
     """
 
     def __init__(
@@ -226,6 +228,8 @@ class PassiveParty:
         self.sigma_override = sigma_override
         self._noise_rng = rng.split("noise", self.party_id)
         self._fcm_rng = rng.split("fcm", self.party_id)
+        # FCM centers of the last round, in gradient space; None to redraw.
+        self._fcm_centers: np.ndarray | None = None
         # The round whose update is still to come, and its release.
         self._pending: tuple[int, ReleaseTrace] | None = None
 
@@ -282,11 +286,13 @@ class PassiveParty:
 
         if self.adaptive.dist_adjust and grad.shape[0] >= self.n_clusters:
             with _stage(timer, StageTimer.DIST_ADJUST):
-                assignment, _ = fcm(
+                assignment, centers = fcm(
                     grad,
                     self.n_clusters,
                     rng=self._fcm_rng.split("round", batch_index),
+                    init=self._fcm_centers,
                 )
+                self._fcm_centers = None if assignment.degenerate else centers
                 assignment = assignment.filtered(self.adaptive.confidence_threshold)
                 cl_loss, cl_grad = contrastive_loss(
                     trace.adjusted, assignment, self.config.beta

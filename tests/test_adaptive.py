@@ -566,6 +566,60 @@ class TestFcm:
             fcm(points, 2, fuzzifier=1.0, rng=Rng(0))
         with pytest.raises(ArgumentError):
             fcm(points, 6, rng=Rng(0))
+        with pytest.raises(ArgumentError, match="init"):
+            fcm(points, 2, rng=Rng(0), init=np.zeros((3, 2)))
+        with pytest.raises(ArgumentError, match="init"):
+            fcm(points, 2, rng=Rng(0), init=np.zeros((2, 3)))
+
+
+def assert_same_fcm(a, b):
+    (assignment_a, centers_a), (assignment_b, centers_b) = a, b
+    assert np.array_equal(assignment_a.memberships, assignment_b.memberships)
+    assert np.array_equal(assignment_a.cluster_ids, assignment_b.cluster_ids)
+    assert assignment_a.degenerate == assignment_b.degenerate
+    assert np.array_equal(centers_a, centers_b)
+
+
+class TestFcmWarmStart:
+    def test_started_at_its_converged_centers_stops_within_two_iterations(self):
+        points, _ = gradient_blobs(3)
+        cold, centers = fcm(points, 2, rng=Rng(11))
+        # Stopping within two updates, the run cut at two is the whole run.
+        warm = fcm(points, 2, init=centers)
+        assert_same_fcm(warm, fcm(points, 2, max_iter=2, init=centers))
+        assert not np.array_equal(fcm(points, 2, max_iter=2, rng=Rng(11))[1], centers)
+        assert np.array_equal(warm[0].cluster_ids, cold.cluster_ids)
+        npt.assert_allclose(warm[1], centers, rtol=0, atol=1e-5)
+
+    def test_warm_start_needs_no_draw(self):
+        points, _ = gradient_blobs(3)
+        _, centers = fcm(points, 2, rng=Rng(1))
+        shifted = centers + 0.1
+        assert_same_fcm(fcm(points, 2, rng=Rng(1), init=shifted),
+                        fcm(points, 2, rng=Rng(2), init=shifted))
+
+    @pytest.mark.parametrize("n", FCM_SIZES)
+    def test_coincident_init_rows_take_the_seeded_draw(self, n):
+        points = fcm_batch(n, "plain")
+        init = np.repeat(points[:1], 2, axis=0)
+        init = np.vstack([init, points[1:2]])
+        assert_same_fcm(fcm(points, 3, rng=Rng(11), init=init), fcm(points, 3, rng=Rng(11)))
+
+    def test_degenerate_batch_takes_the_seeded_draw(self):
+        points = fcm_batch(60, "duplicates")  # 3 distinct rows for 4 clusters
+        init = Rng(5).normal(0, 1, (4, points.shape[1]))
+        warm = fcm(points, 4, rng=Rng(11), init=init)
+        assert warm[0].degenerate
+        assert_same_fcm(warm, fcm(points, 4, rng=Rng(11)))
+
+    @pytest.mark.parametrize("shift", [700, -700])
+    def test_scaled_batch_honours_init(self, shift):
+        points = Rng(1).normal(0, 1, (20, 4))
+        init = Rng(2).normal(0, 1, (2, 4))
+        far = fcm(points * 2.0**shift, 2, tol=1e-5, rng=Rng(3), init=init * 2.0**shift)
+        near = fcm(points, 2, tol=1e-5 * 2.0**-shift, rng=Rng(4), init=init)
+        assert np.array_equal(far[0].memberships, near[0].memberships)
+        assert np.array_equal(far[1], near[1] * 2.0**shift)
 
 
 def gradient_blobs(seed, n_per=50, dim=6, separation=3.0, spread=1.0):

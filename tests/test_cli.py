@@ -388,6 +388,14 @@ class TestTimingCommand:
         shares = [float(line.split(",")[2]) for line in lines[1:]]
         assert abs(sum(shares) - 100.0) < 0.1
 
+    def test_batch_above_the_training_rows_exit_2_before_any_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"timing.batch_size": 1000})
+        out = tmp_path / "timing"
+        assert main(["timing", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: timing batch size exceeds the training rows\n")
+        assert not out.exists()
+
     def test_all_stages_off_zero_shares(self, tmp_path):
         cfg = write_config(
             tmp_path, **{

@@ -42,6 +42,14 @@ class TestRng:
         parent.split("child")
         npt.assert_array_equal(parent.normal(0, 1, (3,)), before)
 
+    def test_generator_is_built_on_the_first_draw(self):
+        stream = Rng(7).split("round", 3)
+        assert "_gen" not in vars(stream)
+        sequence = np.random.SeedSequence(entropy=7, spawn_key=stream.path)
+        expected = np.random.Generator(np.random.Philox(sequence)).normal(0, 1, (5,))
+        npt.assert_array_equal(stream.normal(0, 1, (5,)), expected)
+        assert "_gen" in vars(stream)
+
     def test_rejects_bad_seed_and_path(self):
         with pytest.raises(ArgumentError):
             Rng(-1)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -254,6 +258,76 @@ class TestRunRound:
             assert stats.assignment is not None and stats.purity is None
             assert stats.assignment.degenerate == (change == "degenerate")
             assert (stats.retained == 0) == (change == "keeps no row")
+
+    def record_fcm_calls(self, monkeypatch, degenerate_rounds=()):
+        """Each fcm call's round, init and rng; the listed rounds come back degenerate."""
+        original, calls = protocol.fcm, []
+
+        def recording(*args, **kwargs):
+            assignment, centers = original(*args, **kwargs)
+            round_index = len(calls) // 2  # two passive parties per round
+            calls.append((round_index, kwargs["init"], kwargs["rng"]))
+            if round_index in degenerate_rounds:
+                assignment = replace(assignment, degenerate=True)
+            return assignment, centers
+
+        monkeypatch.setattr(protocol, "fcm", recording)
+        return calls
+
+    def run_rounds(self, parties, data, count):
+        channel, rng = MessageChannel(), Rng(2)
+        for round_index in range(count):
+            indices = sample_aligned_batch(data.train.n_rows, 24, rng)
+            run_round(parties, indices, round_index, channel)
+
+    def test_party_starts_fcm_from_its_last_centers_and_reseeds_after_a_degenerate_round(
+            self, monkeypatch):
+        calls = self.record_fcm_calls(monkeypatch, degenerate_rounds={1})
+        cfg, data, parties = build_run()
+        self.run_rounds(parties, data, 4)
+        warm = [(r, init is not None) for r, init, _ in calls]
+        assert warm == [(0, False), (0, False), (1, True), (1, True),
+                        (2, False), (2, False), (3, True), (3, True)]
+        for party_index, party in enumerate(parties.passives):
+            for round_index in range(4):
+                _, init, rng = calls[2 * round_index + party_index]
+                # A reseed draws from the round's stream, as without a warm start.
+                assert rng.path == party._fcm_rng.split("round", round_index).path
+                if init is not None:
+                    assert init.shape == (cfg.dataset.classes, cfg.model.embedding_dim)
+
+    def test_warm_rounds_never_build_the_round_stream(self, monkeypatch):
+        calls = self.record_fcm_calls(monkeypatch)
+        cfg, data, parties = build_run()
+        self.run_rounds(parties, data, 3)
+        built = [(r, "_gen" in vars(rng)) for r, _, rng in calls]
+        assert built == [(0, True), (0, True), (1, False), (1, False), (2, False), (2, False)]
+
+    def test_training_with_dist_adjust_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.unique(..., axis=...) imports numpy.ma, which costs about 1 MB of
+        # peak memory per process; fcm finds distinct rows without it.
+        raw = {
+            "seed": 3,
+            "dataset": {"kind": "synthetic", "classes": 2, "per_class": 30, "dim": 6},
+            "model": {"embedding_dim": 4, "extractor_hidden": [6]},
+            "training": {"batch_size": 16, "epochs": 1},
+            "privacy": {"epsilon": 0.5, "delta": 0.01},
+            "adaptive": {"rescale": True, "dist_adjust": True},
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        script = (
+            "import sys\n"
+            "from dpvfl.cli import main\n"
+            f"assert main(['train', '--config', {str(cfg)!r}, '--out', "
+            f"{str(tmp_path / 'run')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = Path(protocol.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "False"
 
     def test_non_finite_returned_gradient_names_round_and_party(self):
         cfg, data, parties = build_run()
