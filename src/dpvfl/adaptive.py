@@ -25,12 +25,13 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ArgumentError, InsufficientRetainedError
-from .numerics import Rng, as_matrix, pair_firsts, pair_indices, pairwise_distances
+from .numerics import Rng, as_matrix, pair_indices, pairwise_distances
 
 logger = logging.getLogger(__name__)
 
 SENSITIVITY_FLOOR_SCALE = 1e-6  # lower clamp for the estimate, relative to t
 MIN_RETAINED_ROWS = 2  # fewer retained rows form no pair: no contrastive term
+NEAR_PAIR_SCALE = 1e-7  # pairs closer than this times max |b| skip the matrix form
 
 
 @dataclass(frozen=True)
@@ -124,36 +125,36 @@ def _distance_moment_penalty(d: np.ndarray) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def _unit_rows_in_place(diffs: np.ndarray, d: np.ndarray) -> None:
-    """Divide each pair difference by its distance; rows with ``d == 0`` become 0.
+def _pair_gradient(b: np.ndarray, j_idx, k_idx, d: np.ndarray, coef) -> np.ndarray:
+    """Row gradient of ``sum_p coef_p * d_p`` over pairs ``p = (j, k)`` with
+    ``d_p = ||b_j - b_k||``.
 
-    Zero rows are cleared explicitly: ``d`` underflows to 0 for differences
-    around 1e-170 that are not 0 themselves.
+    Each pair adds ``coef_p / d_p * (b_j - b_k)`` to row j and its negative
+    to row k. With the symmetric weights ``W[j, k] = W[k, j] = coef_p / d_p``
+    (0 where ``d == 0``), row j receives ``sum_k W[j, k] * (b_j - b_k)``,
+    which is ``W.sum(1)[:, None] * b - W @ b``: one n x n product in place
+    of a scatter per pair.
+
+    That product cancels for rows closer than about ``eps * |b|``, so a pair
+    with ``0 < d <= NEAR_PAIR_SCALE * max |b|`` stays out of ``W`` and adds
+    its exact unit difference instead. ``d`` underflows to 0 for
+    differences around 1e-170, which add nothing, as in ``W``.
     """
-    zero = d == 0.0
-    if np.any(zero):
-        diffs[zero] = 0.0
-        d = np.where(zero, 1.0, d)
-    diffs /= d[:, None]
-
-
-def _scatter_pairs(j_idx, k_idx, contrib: np.ndarray, n: int) -> np.ndarray:
-    """Per row, add the contributions of pairs where it is ``j`` and subtract
-    those where it is ``k``.
-
-    ``np.bincount`` adds its weights in input order, so over ``[j, k]`` with
-    weights ``[c, -c]`` each row sums the same terms in the same order as
-    ``np.add.at(grad, j, c)`` followed by ``np.subtract.at(grad, k, c)``, and
-    the result is bit-identical to that scatter.
-    """
-    rows = np.concatenate([j_idx, k_idx])
-    count = contrib.shape[0]
-    weights = np.empty(2 * count)
-    grad = np.empty((n, contrib.shape[1]))
-    for col in range(contrib.shape[1]):
-        weights[:count] = contrib[:, col]
-        np.negative(contrib[:, col], out=weights[count:])
-        grad[:, col] = np.bincount(rows, weights=weights, minlength=n)
+    n = b.shape[0]
+    coef = np.broadcast_to(coef, d.shape)
+    near = NEAR_PAIR_SCALE * float(np.abs(b).max())
+    weights = np.divide(coef, d, out=np.zeros_like(d), where=d > near)
+    w = np.zeros((n, n))
+    w[j_idx, k_idx] = weights
+    w[k_idx, j_idx] = weights
+    grad = w.sum(axis=1)[:, None] * b - w @ b
+    close = (d > 0.0) & (d <= near)
+    if close.any():
+        j_near, k_near = j_idx[close], k_idx[close]
+        units = (b[j_near] - b[k_near]) / d[close, None]
+        units *= coef[close, None]
+        np.add.at(grad, j_near, units)
+        np.subtract.at(grad, k_near, units)
     return grad
 
 
@@ -170,14 +171,10 @@ def kl_surrogate_loss(batch, alpha: float) -> tuple[float, np.ndarray]:
         raise ArgumentError(f"the distance-shape penalty needs >= 4 rows, got {n}")
     if alpha == 0.0:
         return 0.0, np.zeros_like(b)
-    j_idx, k_idx = pair_indices(n)
-    diffs = pair_firsts(b)
-    diffs -= np.take(b, k_idx, axis=0)
-    d = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    d = pairwise_distances(b)
     value, d_grad = _distance_moment_penalty(d)
-    _unit_rows_in_place(diffs, d)
-    diffs *= (alpha * d_grad)[:, None]
-    return alpha * value, _scatter_pairs(j_idx, k_idx, diffs, n)
+    j_idx, k_idx = pair_indices(n)
+    return alpha * value, _pair_gradient(b, j_idx, k_idx, d, alpha * d_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +449,4 @@ def contrastive_loss(batch, assignment: FuzzyAssignment, beta: float) -> tuple[f
     d = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     # Each unordered pair appears twice in the double sum.
     loss = -beta / (n * n) * 2.0 * float(d.sum())
-    _unit_rows_in_place(diffs, d)
-    diffs *= -2.0 * beta / (n * n)
-    return loss, _scatter_pairs(j_idx, k_idx, diffs, n)
+    return loss, _pair_gradient(b, j_idx, k_idx, d, -2.0 * beta / (n * n))

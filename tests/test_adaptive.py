@@ -28,11 +28,17 @@ from dpvfl.numerics import Rng, pairwise_distances
 from conftest import central_difference, erf_inv_bisect, relative_error
 
 
-# Reference kernels: the np.add.at / np.subtract.at scatter the gradients
-# must match bit for bit, and the moment penalty with x**3 and x**4 as pow,
-# which the kernel's products match to MOMENT_TOLERANCE.
+# Reference kernels: the np.add.at / np.subtract.at scatter of per-pair unit
+# differences, which the kernels' matrix-form gradients match to
+# PAIR_TOLERANCE, and the moment penalty with x**3 and x**4 as pow, which the
+# kernel's products match to MOMENT_TOLERANCE.
 
 MOMENT_TOLERANCE = 1e-12
+PAIR_TOLERANCE = 1e-15
+# The matrix form rounds a pair's term to about eps * max|b| / d of itself,
+# under 1e-9 for the "near_1e-6" rows; closer rows take exact differences.
+# Relative to the largest reference gradient entry.
+NEAR_GAP_TOLERANCE = 1e-8
 
 def scatter_reference(n, j_idx, k_idx, contrib):
     grad = np.zeros((n, contrib.shape[1]))
@@ -179,8 +185,10 @@ def fcm_batch(n, case):
 
 KERNEL_SIZES = [4, 5, 60, 100]
 # "duplicate" repeats a row, so one pair has d == 0; "underflow" puts two
-# rows 1e-170 apart, so d underflows to 0 while their difference is not 0.
-KERNEL_CASES = ["plain", "duplicate", "underflow"]
+# rows 1e-170 apart, so d underflows to 0 while their difference is not 0;
+# "near_1e-6" and "near_1e-15" put two rows that far apart at unit scale, on
+# either side of the kernels' near-pair guard.
+KERNEL_CASES = ["plain", "duplicate", "underflow", "near_1e-6", "near_1e-15"]
 
 
 def kernel_batch(n, case):
@@ -190,14 +198,24 @@ def kernel_batch(n, case):
     elif case == "underflow":
         batch[1] = 0.0
         batch[n // 2] = 1e-170
+    elif case.startswith("near_"):
+        batch[1, 0] = 0.5
+        batch[n // 2] = batch[1]
+        batch[n // 2, 0] += float(case[len("near_"):])
     return batch
+
+
+def gradient_tolerance(case, ref_grad, base):
+    if case == "near_1e-6":
+        return base + NEAR_GAP_TOLERANCE * float(np.abs(ref_grad).max())
+    return base
 
 
 def kernel_assignment(n):
     rng = Rng(n).split("assignment")
     ids = np.asarray(rng.integers(0, 2, size=n))
     mask = np.asarray(rng.uniform(0, 1, size=n)) < 0.7
-    # The rows kernel_batch makes coincide form a retained cross pair.
+    # The two rows kernel_batch brings together form a retained cross pair.
     ids[1], ids[n // 2] = 0, 1
     mask[1] = mask[n // 2] = True
     return FuzzyAssignment(cluster_ids=ids, confidences=np.ones(n), retained_mask=mask)
@@ -320,13 +338,22 @@ class TestKlSurrogate:
     @pytest.mark.parametrize("n", KERNEL_SIZES)
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_bit_equal_to_scatter_reference(self, n, case):
-        # Equal to the reference scatter up to the moment penalty's products.
+        # Equal to the reference scatter up to the moment penalty's products
+        # and the rounding of the matrix-form gradient.
         batch = kernel_batch(n, case)
         loss, grad = kl_surrogate_loss(batch, 0.7)
         ref_loss, ref_grad = kl_reference(batch, 0.7)
         assert abs(loss - ref_loss) <= MOMENT_TOLERANCE
-        npt.assert_allclose(grad, ref_grad, rtol=0, atol=MOMENT_TOLERANCE)
+        tolerance = gradient_tolerance(case, ref_grad, MOMENT_TOLERANCE)
+        npt.assert_allclose(grad, ref_grad, rtol=0, atol=tolerance)
         assert np.all(np.isfinite(grad))
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_loss_bit_equal_to_penalty_of_pairwise_distances(self, n, case):
+        batch = kernel_batch(n, case)
+        loss, _ = kl_surrogate_loss(batch, 0.7)
+        assert loss == 0.7 * _distance_moment_penalty(pairwise_distances(batch))[0]
 
     def test_alpha_zero_short_circuits(self):
         batch = Rng(1).normal(0, 1, (5, 2))
@@ -761,7 +788,8 @@ class TestContrastiveLoss:
         loss, grad = contrastive_loss(batch, assignment, 0.9)
         ref_loss, ref_grad = contrastive_reference(batch, assignment, 0.9)
         assert loss == ref_loss
-        assert np.array_equal(grad, ref_grad)
+        tolerance = gradient_tolerance(case, ref_grad, PAIR_TOLERANCE)
+        npt.assert_allclose(grad, ref_grad, rtol=0, atol=tolerance)
         assert np.any(grad != 0.0)
 
     def test_insufficient_retained_rows_warns(self, caplog):
