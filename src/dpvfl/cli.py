@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .config import ExperimentConfig, load_config
 from .errors import CheckpointError, ConfigError, VflError
-from .experiment import measure_stage_times, run_attack_suite, run_training
+from .experiment import measure_stage_times, run_attack_suite, run_training, training_data
 from . import runs
 
 OUT_ROOT_ENV = "DPVFL_OUT"
@@ -103,11 +103,13 @@ def _require_mechanism_for_adjustments(cfg: ExperimentConfig) -> None:
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     _require_mechanism_for_adjustments(cfg)
+    # Built first, so data the run cannot use leaves no run directory.
+    data = training_data(cfg)
     run_dir = _open_run_dir(args, cfg)
     log = runs.EventLog(run_dir)
     started = time.perf_counter()
     try:
-        result = run_training(cfg, on_round=log.on_round)
+        result = run_training(cfg, on_round=log.on_round, data=data)
     finally:
         log.close()
     runtime = time.perf_counter() - started

@@ -28,6 +28,7 @@ from .protocol import (
     PassiveParty,
     StageTimer,
     TrainingHistory,
+    check_batch_size,
     train,
 )
 
@@ -98,9 +99,21 @@ class RunResult:
     history: TrainingHistory
 
 
-def run_training(cfg: ExperimentConfig, on_round=None) -> RunResult:
-    """Build everything from the config and run the full training loop."""
+def training_data(cfg: ExperimentConfig) -> DatasetSplits:
+    """``build_dataset(cfg)``, refused when a training batch exceeds its rows."""
     data = build_dataset(cfg)
+    check_batch_size(cfg.training.batch_size, data.train.n_rows)
+    return data
+
+
+def run_training(cfg: ExperimentConfig, on_round=None,
+                 data: DatasetSplits | None = None) -> RunResult:
+    """Build everything from the config and run the full training loop.
+
+    ``data`` is the result of ``training_data(cfg)`` when the caller has it.
+    """
+    if data is None:
+        data = training_data(cfg)
     parties = build_parties(cfg, data)
     history = train(
         parties, data, Rng(cfg.seed),

@@ -501,6 +501,12 @@ class TrainingHistory:
     rounds: int = 0
 
 
+def check_batch_size(batch_size: int, n_train: int) -> None:
+    """Refuse a training batch larger than the training split."""
+    if batch_size > n_train:
+        raise ArgumentError(f"batch size {batch_size} exceeds the {n_train} training rows")
+
+
 def train(
     parties: Parties,
     data: DatasetSplits,
@@ -524,10 +530,7 @@ def train(
     """
     config = parties.active.config
     n_train = data.train.n_rows
-    if config.batch_size > n_train:
-        raise ArgumentError(
-            f"batch size {config.batch_size} exceeds the {n_train} training rows"
-        )
+    check_batch_size(config.batch_size, n_train)
     rounds_per_epoch = n_train // config.batch_size
     batch_rng = rng.split("batch")
     channel = MessageChannel()

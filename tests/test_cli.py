@@ -113,6 +113,22 @@ class TestTrainCommand:
         assert err.startswith("error: ") and dotted in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"training.batch_size": 1000}, "batch size 1000 exceeds the 64 training rows"),
+        ({"dataset.parties": 7}, "cannot split 6 columns across 7 parties"),
+        ({"dataset": {"kind": "csv", "path": "missing.csv",
+                      "columns": [{"name": "a", "kind": "numeric"},
+                                  {"name": "y", "kind": "label"}]}},
+         "missing.csv: no such file"),
+    ], ids=["batch_size", "parties", "path"])
+    def test_data_refusal_exit_1_before_any_output(self, tmp_path, capsys, overrides,
+                                                   message):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_zero_delta_exit_2_names_delta(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"privacy.epsilon": 10.0, "privacy.delta": 0,
                                         "privacy.allow_large_epsilon": True})
