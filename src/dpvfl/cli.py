@@ -14,12 +14,13 @@ import os
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
 from .errors import CheckpointError, ConfigError, VflError
-from .experiment import measure_stage_times, run_attack_suite, run_training, training_data
+from .experiment import measure_stage_times, run_attack_suite, run_training
 from . import runs
 
 OUT_ROOT_ENV = "DPVFL_OUT"
@@ -84,12 +85,15 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _open_run_dir(args, cfg: ExperimentConfig) -> Path:
-    """The run directory, created, with the resolved config written into it."""
+@contextmanager
+def _open_run_dir(args, cfg: ExperimentConfig):
+    """The run directory to write into, with the resolved config in it; see runs.run_directory."""
     default = Path(os.environ.get(OUT_ROOT_ENV, "runs"), f"{args.command}-seed{cfg.seed}")
-    run_dir = runs.prepare_run_dir(args.out or cfg.out_dir or default, force=args.force)
-    runs.write_config(run_dir, cfg)
-    return run_dir
+    path = Path(args.out or cfg.out_dir or default)
+    with runs.run_directory(path, force=args.force) as run_dir:
+        runs.write_config(run_dir, cfg)
+        yield run_dir
+    print(f"run directory: {path}")
 
 
 def _require_mechanism_for_adjustments(cfg: ExperimentConfig) -> None:
@@ -103,24 +107,21 @@ def _require_mechanism_for_adjustments(cfg: ExperimentConfig) -> None:
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     _require_mechanism_for_adjustments(cfg)
-    # Built first, so data the run cannot use leaves no run directory.
-    data = training_data(cfg)
-    run_dir = _open_run_dir(args, cfg)
-    log = runs.EventLog(run_dir)
-    started = time.perf_counter()
-    try:
-        result = run_training(cfg, on_round=log.on_round, data=data)
-    finally:
-        log.close()
-    runtime = time.perf_counter() - started
-    runs.write_epochs_csv(run_dir, result.history)
-    runs.save_checkpoints(run_dir, result.parties)
-    runs.write_summary(run_dir, runs.training_summary(result, runtime))
-    final = result.history.epochs[-1] if result.history.epochs else None
-    if final is not None:
-        print(f"train: test_accuracy={final.test_accuracy:.4f} "
-              f"loss={final.train_loss:.4f} rounds={result.history.rounds}")
-    print(f"run directory: {run_dir}")
+    with _open_run_dir(args, cfg) as run_dir:
+        log = runs.EventLog(run_dir)
+        started = time.perf_counter()
+        try:
+            result = run_training(cfg, on_round=log.on_round)
+        finally:
+            log.close()
+        runtime = time.perf_counter() - started
+        runs.write_epochs_csv(run_dir, result.history)
+        runs.save_checkpoints(run_dir, result.parties)
+        runs.write_summary(run_dir, runs.training_summary(result, runtime))
+        final = result.history.epochs[-1] if result.history.epochs else None
+        if final is not None:
+            print(f"train: test_accuracy={final.test_accuracy:.4f} "
+                  f"loss={final.train_loss:.4f} rounds={result.history.rounds}")
     return 0
 
 
@@ -132,109 +133,106 @@ def cmd_ablate(args) -> int:
     if not cfg.privacy.enabled:
         # Its +rescale, +distadj and full cells add the adjustments to the mechanism.
         raise ConfigError("privacy.enabled must be true for ablate, got False")
-    run_dir = _open_run_dir(args, cfg)
     seeds = cfg.ablate.seeds or [cfg.seed]
     rows = []
     cell_accuracies: dict[str, list[float]] = {}
-    for method, rescale_on, distadj_on in ABLATION_GRID:
-        cell_cfg = replace(
-            cfg,
-            adaptive=replace(cfg.adaptive, rescale=rescale_on, dist_adjust=distadj_on),
+    with _open_run_dir(args, cfg) as run_dir:
+        for method, rescale_on, distadj_on in ABLATION_GRID:
+            cell_cfg = replace(
+                cfg,
+                adaptive=replace(cfg.adaptive, rescale=rescale_on, dist_adjust=distadj_on),
+            )
+            accuracies = []
+            for seed in seeds:
+                cell_dir = run_dir / f"{method.replace('+', '_')}-seed{seed}"
+                cell_dir.mkdir(parents=True, exist_ok=True)
+                seeded = replace(cell_cfg, seed=seed)
+                runs.write_config(cell_dir, seeded)
+                result = run_training(seeded)
+                runs.write_epochs_csv(cell_dir, result.history)
+                accuracies.append(result.history.epochs[-1].test_accuracy)
+            cell_accuracies[method] = accuracies
+            mean = statistics.fmean(accuracies)
+            std = statistics.pstdev(accuracies) if len(accuracies) > 1 else 0.0
+            rows.append([method, len(seeds), mean, std])
+            print(f"ablate: {method:16s} accuracy={mean:.4f} +- {std:.4f}")
+        runs.write_table_csv(
+            run_dir / "ablation.csv",
+            ["method", "seeds", "accuracy_mean", "accuracy_std"],
+            rows,
         )
-        accuracies = []
-        for seed in seeds:
-            cell_dir = run_dir / f"{method.replace('+', '_')}-seed{seed}"
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            seeded = replace(cell_cfg, seed=seed)
-            runs.write_config(cell_dir, seeded)
-            result = run_training(seeded)
-            runs.write_epochs_csv(cell_dir, result.history)
-            accuracies.append(result.history.epochs[-1].test_accuracy)
-        cell_accuracies[method] = accuracies
-        mean = statistics.fmean(accuracies)
-        std = statistics.pstdev(accuracies) if len(accuracies) > 1 else 0.0
-        rows.append([method, len(seeds), mean, std])
-        print(f"ablate: {method:16s} accuracy={mean:.4f} +- {std:.4f}")
-    runs.write_table_csv(
-        run_dir / "ablation.csv",
-        ["method", "seeds", "accuracy_mean", "accuracy_std"],
-        rows,
-    )
-    runs.write_summary(run_dir, {
-        "seeds": seeds,
-        "cells": cell_accuracies,
-    })
-    print(f"run directory: {run_dir}")
+        runs.write_summary(run_dir, {
+            "seeds": seeds,
+            "cells": cell_accuracies,
+        })
     return 0
 
 
 def cmd_attack(args) -> int:
     cfg = _resolve_config(args)
-    victims_root = Path(args.victims)
-    if not victims_root.is_dir():
-        raise ConfigError(f"victims directory not found: {victims_root}")
-    victim_dirs = sorted(p for p in victims_root.iterdir() if p.is_dir())
-    if not victim_dirs:
-        raise ConfigError(f"no victim run directories under {victims_root}")
-    victims = {p.name: runs.load_run(p) for p in victim_dirs}
-    target = cfg.attack.target_party
-    for tag, run in victims.items():
-        parties = run.data.train.n_parties
-        if target >= parties:
-            raise ConfigError(f"attack.target_party must be below the {parties} passive parties "
-                              f"of victim {tag!r}, got {target}")
-    run_dir = _open_run_dir(args, cfg)
-    reports = run_attack_suite(cfg, victims)
-    by_victim: dict[str, dict] = {}
-    for report in reports:
-        by_victim.setdefault(report.victim, {})[report.kind] = report
-    rows = []
-    for tag in sorted(by_victim):
-        # run_attack_suite reports one inversion and one MI result per victim.
-        inversion = by_victim[tag]["inversion"].metric
-        mi = by_victim[tag]["membership_inference"].metric
-        rows.append([tag, mi, inversion])
-        print(f"attack: {tag:12s} mi_accuracy={mi:.4f} inversion_mse={inversion:.6f}")
-    runs.write_table_csv(
-        run_dir / "attacks.csv",
-        ["victim", "mi_accuracy", "inversion_mse"],
-        rows,
-    )
-    runs.write_summary(run_dir, {
-        "reports": [
-            {
-                "kind": r.kind, "victim": r.victim, "metric": r.metric,
-                "trials": r.trials, "failed_trials": r.failed_trials,
-                "seed": r.seed, "details": r.details,
-            }
-            for r in reports
-        ],
-    })
-    print(f"run directory: {run_dir}")
+    with _open_run_dir(args, cfg) as run_dir:
+        victims_root = Path(args.victims)
+        if not victims_root.is_dir():
+            raise ConfigError(f"victims directory not found: {victims_root}")
+        # A hidden entry is a run still being written, or one that was cut off.
+        victim_dirs = sorted(p for p in victims_root.glob("[!.]*") if p.is_dir())
+        if not victim_dirs:
+            raise ConfigError(f"no victim run directories under {victims_root}")
+        victims = {p.name: runs.load_run(p) for p in victim_dirs}
+        target = cfg.attack.target_party
+        for tag, run in victims.items():
+            parties = run.data.train.n_parties
+            if target >= parties:
+                raise ConfigError(f"attack.target_party must be below the {parties} passive "
+                                  f"parties of victim {tag!r}, got {target}")
+        reports = run_attack_suite(cfg, victims)
+        by_victim: dict[str, dict] = {}
+        for report in reports:
+            by_victim.setdefault(report.victim, {})[report.kind] = report
+        rows = []
+        for tag in sorted(by_victim):
+            # run_attack_suite reports one inversion and one MI result per victim.
+            inversion = by_victim[tag]["inversion"].metric
+            mi = by_victim[tag]["membership_inference"].metric
+            rows.append([tag, mi, inversion])
+            print(f"attack: {tag:12s} mi_accuracy={mi:.4f} inversion_mse={inversion:.6f}")
+        runs.write_table_csv(
+            run_dir / "attacks.csv",
+            ["victim", "mi_accuracy", "inversion_mse"],
+            rows,
+        )
+        runs.write_summary(run_dir, {
+            "reports": [
+                {
+                    "kind": r.kind, "victim": r.victim, "metric": r.metric,
+                    "trials": r.trials, "failed_trials": r.failed_trials,
+                    "seed": r.seed, "details": r.details,
+                }
+                for r in reports
+            ],
+        })
     return 0
 
 
 def cmd_timing(args) -> int:
     cfg = _resolve_config(args)
     _require_mechanism_for_adjustments(cfg)
-    # Measured first, so a refused timing batch size leaves no run directory.
-    seconds = measure_stage_times(cfg)
-    run_dir = _open_run_dir(args, cfg)
-    total = sum(seconds.values())
-    rows = []
-    for stage, stage_seconds in seconds.items():
-        share = 100.0 * stage_seconds / total if total > 0 else 0.0
-        rows.append([stage, stage_seconds * 1000.0, share])
-        print(f"timing: {stage:12s} {stage_seconds * 1000.0:10.2f} ms  {share:6.2f}%")
-    runs.write_table_csv(
-        run_dir / "timing.csv", ["stage", "time_ms", "share_pct"], rows
-    )
-    runs.write_summary(run_dir, {
-        "rounds": cfg.timing.rounds,
-        "batch_size": cfg.timing.batch_size or cfg.training.batch_size,
-        "seconds": seconds,
-    })
-    print(f"run directory: {run_dir}")
+    with _open_run_dir(args, cfg) as run_dir:
+        seconds = measure_stage_times(cfg)
+        total = sum(seconds.values())
+        rows = []
+        for stage, stage_seconds in seconds.items():
+            share = 100.0 * stage_seconds / total if total > 0 else 0.0
+            rows.append([stage, stage_seconds * 1000.0, share])
+            print(f"timing: {stage:12s} {stage_seconds * 1000.0:10.2f} ms  {share:6.2f}%")
+        runs.write_table_csv(
+            run_dir / "timing.csv", ["stage", "time_ms", "share_pct"], rows
+        )
+        runs.write_summary(run_dir, {
+            "rounds": cfg.timing.rounds,
+            "batch_size": cfg.timing.batch_size or cfg.training.batch_size,
+            "seconds": seconds,
+        })
     return 0
 
 

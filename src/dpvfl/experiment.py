@@ -28,7 +28,6 @@ from .protocol import (
     PassiveParty,
     StageTimer,
     TrainingHistory,
-    check_batch_size,
     train,
 )
 
@@ -99,21 +98,9 @@ class RunResult:
     history: TrainingHistory
 
 
-def training_data(cfg: ExperimentConfig) -> DatasetSplits:
-    """``build_dataset(cfg)``, refused when a training batch exceeds its rows."""
+def run_training(cfg: ExperimentConfig, on_round=None) -> RunResult:
+    """Build everything from the config and run the full training loop."""
     data = build_dataset(cfg)
-    check_batch_size(cfg.training.batch_size, data.train.n_rows)
-    return data
-
-
-def run_training(cfg: ExperimentConfig, on_round=None,
-                 data: DatasetSplits | None = None) -> RunResult:
-    """Build everything from the config and run the full training loop.
-
-    ``data`` is the result of ``training_data(cfg)`` when the caller has it.
-    """
-    if data is None:
-        data = training_data(cfg)
     parties = build_parties(cfg, data)
     history = train(
         parties, data, Rng(cfg.seed),

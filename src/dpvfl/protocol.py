@@ -501,12 +501,6 @@ class TrainingHistory:
     rounds: int = 0
 
 
-def check_batch_size(batch_size: int, n_train: int) -> None:
-    """Refuse a training batch larger than the training split."""
-    if batch_size > n_train:
-        raise ArgumentError(f"batch size {batch_size} exceeds the {n_train} training rows")
-
-
 def train(
     parties: Parties,
     data: DatasetSplits,
@@ -530,7 +524,10 @@ def train(
     """
     config = parties.active.config
     n_train = data.train.n_rows
-    check_batch_size(config.batch_size, n_train)
+    if config.batch_size > n_train:
+        raise ArgumentError(
+            f"batch size {config.batch_size} exceeds the {n_train} training rows"
+        )
     rounds_per_epoch = n_train // config.batch_size
     batch_rng = rng.split("batch")
     channel = MessageChannel()

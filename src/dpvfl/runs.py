@@ -3,7 +3,8 @@
 Every run directory contains the resolved config, a per-epoch CSV, a JSON
 summary, a round-level event log, and model checkpoints. CSV floats use
 ``repr`` (shortest round-trip) so identical runs are byte-identical; wall
-times appear only in ``summary.json`` and the timing table.
+times appear only in ``summary.json`` and the timing table. A run directory
+appears only once its command succeeds; see ``run_directory``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import shutil
+import uuid
+from contextlib import contextmanager
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
@@ -34,17 +37,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def prepare_run_dir(path, force: bool = False) -> Path:
-    """Create the run directory, refusing to clobber an existing one unless forced."""
+@contextmanager
+def run_directory(path, force: bool = False):
+    """Yield a hidden sibling of ``path`` to write a run into; it becomes ``path`` on success.
+
+    An existing non-empty ``path`` is refused unless ``force``; a forced run
+    replaces it only when the block completes. On any exception the sibling
+    is deleted and ``path`` is left as it was.
+    """
     path = Path(path)
-    if path.exists() and any(path.iterdir()):
-        if not force:
-            raise ConfigError(
-                f"run directory {path} already exists; pass --force to overwrite"
-            )
-        shutil.rmtree(path)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    if path.exists() and not path.is_dir():
+        raise ConfigError(f"run directory {path} is not a directory")
+    if path.exists() and any(path.iterdir()) and not force:
+        raise ConfigError(f"run directory {path} already exists; pass --force to overwrite")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # In the same directory, so the final rename stays on one filesystem.
+    staging = path.parent / f".{path.name}.{uuid.uuid4().hex}"
+    staging.mkdir()
+    try:
+        yield staging
+        if force:
+            shutil.rmtree(path, ignore_errors=True)
+        staging.rename(path)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
 
 
 def write_config(run_dir: Path, cfg: ExperimentConfig) -> None:
@@ -155,16 +172,16 @@ def save_checkpoints(run_dir: Path, parties: Parties) -> None:
 
 
 def load_run(run_dir) -> RunResult:
-    """Rebuild a trained run from its directory (config + checkpoints).
+    """Rebuild a finished run from its directory (config, summary, checkpoints).
 
     The dataset is regenerated deterministically from the resolved config;
     network weights come from the checkpoints.
     """
     run_dir = Path(run_dir)
-    config_path = run_dir / CONFIG_FILE
-    if not config_path.exists():
-        raise ConfigError(f"{run_dir}: missing {CONFIG_FILE}")
-    cfg = load_config(config_path)
+    for name in (CONFIG_FILE, SUMMARY_FILE):
+        if not (run_dir / name).exists():
+            raise ConfigError(f"{run_dir}: missing {name}")
+    cfg = load_config(run_dir / CONFIG_FILE)
     data = build_dataset(cfg)
     parties = build_parties(cfg, data)
     cp = run_dir / CHECKPOINT_DIR

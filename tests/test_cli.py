@@ -1,10 +1,23 @@
 import json
+import os
 
 import pytest
 
 from dpvfl import cli
 from dpvfl.cli import main
+from dpvfl.errors import ProtocolError
 from dpvfl.mechanism import PrivacyParams
+
+
+@pytest.fixture(autouse=True)
+def no_hidden_entries(tmp_path):
+    """A command leaves no partial run directory: nothing hidden under tmp_path."""
+    yield
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob(".*")) == []
+
+
+def snapshot(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -459,6 +472,127 @@ class TestRunDirectory:
         # No other directory was made.
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["cfg.json", run_dir.relative_to(tmp_path).parts[0]])
+
+
+    @pytest.mark.parametrize("where", ["out", "out_dir"])
+    @pytest.mark.parametrize("force", [False, True])
+    def test_out_naming_a_file_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                      where, force):
+        monkeypatch.setattr(cli, "run_training", None)  # any work would fail on this
+        target = tmp_path / "taken"
+        target.write_text("not a run")
+        cfg = write_config(tmp_path, **({"out_dir": str(target)} if where == "out_dir" else {}))
+        argv = ["train", "--config", str(cfg)]
+        argv += ["--out", str(target)] if where == "out" else []
+        argv += ["--force"] if force else []
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: run directory {target} is not a directory\n"
+        assert target.read_text() == "not a run"
+
+    def test_committed_directory_has_the_mode_of_a_plain_mkdir(self, tmp_path):
+        out, plain = tmp_path / "run", tmp_path / "plain"
+        plain.mkdir()
+        assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        assert os.stat(out).st_mode == os.stat(plain).st_mode
+
+    def test_attack_skips_hidden_victim_entries(self, tmp_path, victims):
+        # A run still being written, or cut off, sits in a hidden sibling.
+        partial = victims / ".full.cut-off"
+        partial.mkdir()
+        (partial / "resolved_config.json").write_text("{}")
+        try:
+            out = tmp_path / "attack"
+            assert main(["attack", "--config", str(write_config(tmp_path)),
+                         "--victims", str(victims), "--out", str(out)]) == 0
+        finally:
+            (partial / "resolved_config.json").unlink()
+            partial.rmdir()
+        victim_names = [line.split(",")[0]
+                        for line in (out / "attacks.csv").read_text().splitlines()[1:]]
+        assert victim_names == ["full", "unprotected", "vanilla"]
+
+    def test_victim_without_summary_exit_2(self, tmp_path, capsys):
+        victims = tmp_path / "victims"
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--out", str(victims / "full")]) == 0
+        (victims / "full" / "summary.json").unlink()
+        out = tmp_path / "attack"
+        capsys.readouterr()
+        assert main(["attack", "--config", str(cfg), "--victims", str(victims),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {victims / 'full'}: missing summary.json\n")
+        assert not out.exists()
+
+    def test_timing_refuses_an_existing_directory_before_measuring(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "measure_stage_times", lambda cfg: calls.append(cfg))
+        out = tmp_path / "timing"
+        out.mkdir()
+        (out / "kept.txt").write_text("old")
+        assert main(["timing", "--config", str(write_config(tmp_path)),
+                     "--out", str(out)]) == 2
+        assert "--force" in capsys.readouterr().err
+        assert calls == []
+        assert snapshot(out) == {"kept.txt": b"old"}
+
+
+class TestFailedRunLeavesNothing:
+    """A command that fails after opening its run directory leaves no trace of it."""
+
+    @staticmethod
+    def assert_absent(out):
+        assert not out.exists()
+        assert [p.name for p in out.parent.iterdir() if p.name.startswith(".")] == []
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_epsilon_outside_the_calibrated_domain(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, **{"privacy.epsilon": 10.0})
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "allow_large_epsilon" in capsys.readouterr().err
+        self.assert_absent(out)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_train(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{
+            "training.learning_rate": 10.0, "training.epochs": 4,
+            "model.activation": "identity", "privacy.enabled": False,
+            "adaptive.rescale": False, "adaptive.dist_adjust": False,
+        })
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "non-finite values" in capsys.readouterr().err
+        self.assert_absent(out)
+
+    def test_ablate_failing_in_a_later_cell(self, tmp_path, capsys, monkeypatch):
+        trained = []
+        real = cli.run_training
+
+        def third_cell_fails(cfg, **kwargs):
+            trained.append(cfg)
+            if len(trained) == 3:
+                raise ProtocolError("cell diverged")
+            return real(cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "run_training", third_cell_fails)
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(write_config(tmp_path)),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: cell diverged\n"
+        assert len(trained) == 3
+        self.assert_absent(out)
+
+    def test_failed_forced_rerun_keeps_the_old_run(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        before = snapshot(out)
+        failing = write_config(tmp_path, name="eps10.json", **{"privacy.epsilon": 10.0})
+        assert main(["train", "--config", str(failing), "--out", str(out), "--force"]) == 1
+        assert "allow_large_epsilon" in capsys.readouterr().err
+        assert snapshot(out) == before
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
 
 class TestUsage:
