@@ -145,7 +145,7 @@ def cmd_ablate(args) -> int:
             accuracies = []
             for seed in seeds:
                 cell_dir = run_dir / f"{method.replace('+', '_')}-seed{seed}"
-                cell_dir.mkdir(parents=True, exist_ok=True)
+                cell_dir.mkdir()
                 seeded = replace(cell_cfg, seed=seed)
                 runs.write_config(cell_dir, seeded)
                 result = run_training(seeded)
@@ -179,12 +179,19 @@ def cmd_attack(args) -> int:
         if not victim_dirs:
             raise ConfigError(f"no victim run directories under {victims_root}")
         victims = {p.name: runs.load_run(p) for p in victim_dirs}
-        target = cfg.attack.target_party
+        target, shadows = cfg.attack.target_party, cfg.attack.shadows
         for tag, run in victims.items():
             parties = run.data.train.n_parties
             if target >= parties:
                 raise ConfigError(f"attack.target_party must be below the {parties} passive "
                                   f"parties of victim {tag!r}, got {target}")
+            # A file-backed victim's shadows train on every other one of 2 * shadows chunks
+            # of its held-out rows; np.array_split leaves the last of them, the smallest,
+            # 2 rows or more exactly from 4 * shadows - 1 rows up.
+            held_out = run.data.test.n_rows
+            if run.config.dataset.kind != "synthetic" and held_out < 4 * shadows - 1:
+                raise ConfigError(f"attack.shadows {shadows} needs at least {4 * shadows - 1} "
+                                  f"held-out rows of victim {tag!r}, which has {held_out}")
         reports = run_attack_suite(cfg, victims)
         by_victim: dict[str, dict] = {}
         for report in reports:

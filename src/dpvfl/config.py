@@ -248,6 +248,8 @@ class AblateConfig:
     def __post_init__(self):
         for i, seed in enumerate(self.seeds):
             _require_seed(seed, f"ablate.seeds[{i}]")
+            _require(seed not in self.seeds[:i], f"ablate.seeds[{i}]", "repeats an earlier seed",
+                     seed)
 
 
 @dataclass

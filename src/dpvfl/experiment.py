@@ -175,10 +175,6 @@ def _balanced_eval_rows(data: DatasetSplits, per_side: int, rng: Rng):
     return np.sort(members), np.sort(nonmembers)
 
 
-def _party_inputs(split, rows) -> list[np.ndarray]:
-    return [split.party_features[p][rows] for p in range(split.n_parties)]
-
-
 def _carve_rows(n_rows: int, pieces: int, rng: Rng) -> list[np.ndarray]:
     order = rng.permutation(n_rows)
     return [np.sort(chunk) for chunk in np.array_split(order, pieces)]
@@ -284,14 +280,14 @@ def run_attack_suite(cfg: ExperimentConfig, victims: dict[str, RunResult],
             )
             return (
                 conf_fn_for(shadow),
-                _party_inputs(shadow_data.train, in_rows),
-                _party_inputs(shadow_data.test, out_rows),
+                shadow_data.train.take(in_rows).party_features,
+                shadow_data.test.take(out_rows).party_features,
             )
 
         mi = membership_inference(
             conf_fn_for(victim),
-            _party_inputs(data.train, member_rows),
-            _party_inputs(data.test, nonmember_rows),
+            data.train.take(member_rows).party_features,
+            data.test.take(nonmember_rows).party_features,
             shadow_factory,
             atk,
             rng.split("mi"),

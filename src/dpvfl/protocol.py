@@ -188,7 +188,6 @@ def release(
 class PartyRoundStats:
     delta_local: float | None = None
     purity: float | None = None
-    retained: int | None = None
     assignment: FuzzyAssignment | None = None
     kl_loss: float | None = None
     cl_loss: float | None = None
@@ -299,7 +298,6 @@ class PassiveParty:
                 )
             adjusted_grad = adjusted_grad + cl_grad
             stats.cl_loss = cl_loss
-            stats.retained = assignment.n_retained
             stats.assignment = assignment
 
         if self.adaptive.rescale and self.config.alpha != 0.0 and trace.adjusted.shape[0] >= 4:
@@ -409,23 +407,22 @@ def run_round(
     indices: np.ndarray,
     batch_index: int,
     channel: MessageChannel,
-    batch_labels_for_diagnostics: np.ndarray | None = None,
     timer: StageTimer | None = None,
 ) -> RoundMetrics:
-    """One full communication round over an aligned mini-batch. The labels stay
-    here, scoring each party's confidence-filtered weak clusters by purity."""
+    """One full communication round over an aligned mini-batch. The active party's
+    labels score each party's confidence-filtered weak clusters by purity, untimed."""
     for party in parties.passives:
         party.embed_and_share(indices, batch_index, channel, timer)
     loss, accuracy = parties.active.aggregate_and_step(
         [p.party_id for p in parties.passives], indices, batch_index, channel, timer
     )
+    labels = parties.active.labels[indices]
     stats = {}
     for party in parties.passives:
         party_stats = party.receive_and_update(batch_index, channel, timer=timer)
         kept = party_stats.assignment
-        if (batch_labels_for_diagnostics is not None and kept is not None
-                and not kept.degenerate and kept.n_retained > 0):
-            party_stats.purity = purity(kept, batch_labels_for_diagnostics, use_mask=True)
+        if kept is not None and not kept.degenerate and kept.n_retained > 0:
+            party_stats.purity = purity(kept, labels, use_mask=True)
         stats[party.party_id] = party_stats
     return RoundMetrics(
         round_index=batch_index, loss=loss, accuracy=accuracy, party_stats=stats
@@ -491,14 +488,19 @@ class EpochMetrics:
     train_loss: float
     train_accuracy: float
     test_accuracy: float | None
-    mean_delta: dict[int, float] = field(default_factory=dict)
-    mean_purity: dict[int, float] = field(default_factory=dict)
+    mean_delta: float | None
+    mean_purity: float | None
 
 
 @dataclass
 class TrainingHistory:
     epochs: list[EpochMetrics] = field(default_factory=list)
     rounds: int = 0
+
+
+def _mean_of_party_means(values: dict[int, list]) -> float | None:
+    means = [float(np.mean(v)) for v in values.values() if v]
+    return sum(means) / len(means) if means else None
 
 
 def train(
@@ -541,10 +543,7 @@ def train(
             purities: dict[int, list] = {p.party_id: [] for p in parties.passives}
             for _ in range(rounds_per_epoch):
                 indices = sample_aligned_batch(n_train, config.batch_size, batch_rng)
-                metrics = run_round(
-                    parties, indices, batch_index, channel,
-                    batch_labels_for_diagnostics=data.train.labels[indices],
-                )
+                metrics = run_round(parties, indices, batch_index, channel)
                 if on_round is not None:
                     on_round(epoch, metrics)
                 losses.append(metrics.loss)
@@ -554,9 +553,9 @@ def train(
                         deltas[pid].append(stats.delta_local)
                     if stats.purity is not None:
                         purities[pid].append(stats.purity)
-                    if stats.retained is not None:
+                    if stats.assignment is not None:
                         clustered += 1
-                        skipped += stats.retained < MIN_RETAINED_ROWS
+                        skipped += stats.assignment.n_retained < MIN_RETAINED_ROWS
                 batch_index += 1
             test_accuracy = None
             if evaluate_each_epoch:
@@ -568,8 +567,8 @@ def train(
                 train_loss=float(np.mean(losses)),
                 train_accuracy=float(np.mean(accuracies)),
                 test_accuracy=test_accuracy,
-                mean_delta={pid: float(np.mean(v)) for pid, v in deltas.items() if v},
-                mean_purity={pid: float(np.mean(v)) for pid, v in purities.items() if v},
+                mean_delta=_mean_of_party_means(deltas),
+                mean_purity=_mean_of_party_means(purities),
             ))
     history.rounds = batch_index
     if skipped:

@@ -69,18 +69,10 @@ def write_config(run_dir: Path, cfg: ExperimentConfig) -> None:
 
 
 def write_epochs_csv(run_dir: Path, history: TrainingHistory) -> Path:
-    rows = []
-    for em in history.epochs:
-        deltas = list(em.mean_delta.values())
-        purities = list(em.mean_purity.values())
-        rows.append([
-            em.epoch, em.train_loss, em.train_accuracy, em.test_accuracy,
-            sum(deltas) / len(deltas) if deltas else None,
-            sum(purities) / len(purities) if purities else None,
-        ])
     return write_table_csv(run_dir / EPOCHS_FILE, [
         "epoch", "train_loss", "train_accuracy", "test_accuracy", "mean_delta", "mean_purity",
-    ], rows)
+    ], [[em.epoch, em.train_loss, em.train_accuracy, em.test_accuracy, em.mean_delta,
+         em.mean_purity] for em in history.epochs])
 
 
 class EventLog:

@@ -310,6 +310,15 @@ class TestAblateCommand:
         assert capsys.readouterr().err == "error: ablate needs training.epochs of at least 1\n"
         assert not out.exists()
 
+    def test_repeated_seed_exit_2_before_any_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"ablate.seeds": [4, 5, 4]})
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: ablate.seeds[2] repeats an earlier seed, got 4\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
 
 class TestAttackCommand:
     def _train_victims(self, tmp_path, cfg):
@@ -395,6 +404,40 @@ class TestAttackCommand:
                      "--out", str(out)]) == 2
         assert "unknown config key: evaluation.with_noise" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("test_fraction, held_out", [(0.25, 10), (0.275, 11)])
+    def test_shadows_the_held_out_rows_cannot_carve_exit_2(self, tmp_path, capsys,
+                                                           test_fraction, held_out):
+        # Three shadows carve six chunks of a file-backed victim's held-out rows; the
+        # last training chunk gets 2 rows from 11 held-out rows up.
+        jobs = ("clerk", "nurse")
+        lines = ["age,job,income"] + [
+            f"{20 + i},{jobs[i % 2]},{'hi' if i % 4 < 2 else 'lo'}" for i in range(40)
+        ]
+        (tmp_path / "people.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        victim_cfg = write_config(tmp_path, name="csv.json", dataset={
+            "kind": "csv", "path": str(tmp_path / "people.csv"), "test_fraction": test_fraction,
+            "columns": [{"name": "age", "kind": "numeric"}, {"name": "job", "kind": "categorical"},
+                        {"name": "income", "kind": "label"}],
+        })
+        victims = tmp_path / "victims"
+        assert main(["train", "--config", str(victim_cfg), "--out", str(victims / "csv")]) == 0
+        assert json.loads((victims / "csv" / "summary.json").read_text())[
+            "dataset"]["test_rows"] == held_out
+        cfg = write_config(tmp_path, name="atk.json", **{"attack.shadows": 3})
+        out = tmp_path / "attack"
+        code = main(["attack", "--config", str(cfg), "--victims", str(victims),
+                     "--out", str(out)])
+        if held_out < 11:
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "error: attack.shadows 3 needs at least 11 held-out rows of victim 'csv', "
+                "which has 10\n"
+            )
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert (out / "attacks.csv").exists()
 
     def test_missing_victims_dir_exit_2(self, tmp_path):
         cfg = write_config(tmp_path)

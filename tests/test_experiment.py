@@ -552,6 +552,50 @@ class TestAttackSuite:
                 assert 0.0 <= r.metric <= 1.0
                 assert r.details["members"] == r.details["nonmembers"]
 
+    def test_file_backed_victims_use_their_held_out_rows(self, tmp_path, monkeypatch):
+        # 32 CSV rows, 16 held out: 2 shadows carve 4 chunks of 4 held-out rows.
+        path = write_csv_dataset(tmp_path)
+        dataset = {"kind": "csv", "path": str(path), "columns": CSV_COLUMNS,
+                   "test_fraction": 0.5, "parties": 2}
+        victims = {
+            "vanilla": run_training(parse_config(tiny_raw(**{
+                "dataset": dataset, "adaptive.rescale": False, "adaptive.dist_adjust": False,
+            }))),
+            "full": run_training(parse_config(tiny_raw(dataset=dataset))),
+        }
+        shadows = []
+        original = experiment._shadow_run
+
+        def spy(cfg, index, victim_data, carve):
+            shadow, data = original(cfg, index, victim_data, carve)
+            shadows.append((victim_data, carve, index, data))
+            return shadow, data
+
+        monkeypatch.setattr(experiment, "_shadow_run", spy)
+        cfg = parse_config(tiny_raw(**{
+            "attack.decoder_epochs": 3, "attack.shadows": 2, "attack.shadow_epochs": 1,
+            "attack.attack_epochs": 5, "attack.eval_per_side": 4,
+        }))
+        reports = run_attack_suite(cfg, victims)
+        assert sorted((r.victim, r.kind) for r in reports) == [
+            (v, k) for v in ("full", "vanilla") for k in ("inversion", "membership_inference")
+        ]
+        assert all(np.isfinite(r.metric) for r in reports)
+        assert len(shadows) == 4
+        for victim_data, carve, index, data in shadows:
+            assert victim_data.test.n_rows == 16
+            npt.assert_array_equal(np.sort(np.concatenate(carve)), np.arange(16))
+            train_rows, test_rows = carve[2 * index], carve[2 * index + 1]
+            assert len(train_rows) == 4 and not set(train_rows) & set(test_rows)
+            for part, rows in ((data.train, train_rows), (data.test, test_rows)):
+                for features, victim_features in zip(part.party_features,
+                                                     victim_data.test.party_features):
+                    npt.assert_array_equal(features, victim_features[rows])
+        # Each victim's two shadows train on disjoint rows of its held-out split.
+        for first, second in (shadows[:2], shadows[2:]):
+            assert first[0] is second[0] and first[2] == 0 and second[2] == 1
+            assert not set(first[1][0]) & set(second[1][2])
+
     def test_embedding_level_variant(self):
         cfg = parse_config(tiny_raw(**{
             "attack.decoder_epochs": 3, "attack.shadows": 2,

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpvfl.errors import ArgumentError
+from dpvfl.mechanism import clip_norm
 from dpvfl.numerics import (
     Rng,
+    as_matrix,
     pair_firsts,
     pair_indices,
     pairwise_distances,
@@ -21,6 +23,24 @@ def per_row_distances(batch):
         np.sqrt(np.einsum("ij,ij->i", batch[j + 1:] - batch[j], batch[j + 1:] - batch[j]))
         for j in range(batch.shape[0] - 1)
     ])
+
+
+class TestAsMatrix:
+    """The input guard of every kernel, called directly and through clip_norm."""
+
+    @pytest.mark.parametrize("entry, name", [
+        (as_matrix, "matrix"),
+        (lambda values: clip_norm(values, 1.0), "batch"),
+    ], ids=["direct", "clip_norm"])
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, 2.0], r"must be 2-D, got shape \(2,\)"),
+        ([[[1.0]]], r"must be 2-D, got shape \(1, 1, 1\)"),
+        ([[1.0, np.nan]], "contains non-finite entries"),
+        ([[np.inf], [0.0]], "contains non-finite entries"),
+    ])
+    def test_refusals_name_the_input(self, entry, name, values, message):
+        with pytest.raises(ArgumentError, match=f"^{name} {message}$"):
+            entry(values)
 
 
 class TestRng:

@@ -198,8 +198,7 @@ class TestRunRound:
     def test_round_metrics_and_stats(self):
         cfg, data, parties = build_run()
         indices = sample_aligned_batch(data.train.n_rows, 24, Rng(2))
-        metrics = run_round(parties, indices, 0, MessageChannel(),
-                            batch_labels_for_diagnostics=data.train.labels[indices])
+        metrics = run_round(parties, indices, 0, MessageChannel())
         assert np.isfinite(metrics.loss)
         assert 0.0 <= metrics.accuracy <= 1.0
         for stats in metrics.party_stats.values():
@@ -222,22 +221,16 @@ class TestRunRound:
         for batch_index in range(4):
             indices = sample_aligned_batch(data.train.n_rows, 24, rng)
             labels = data.train.labels[indices]
-            metrics = run_round(parties, indices, batch_index, channel,
-                                batch_labels_for_diagnostics=labels)
+            metrics = run_round(parties, indices, batch_index, channel)
             for stats in metrics.party_stats.values():
                 assignment = stats.assignment
-                assert assignment is not None and assignment.n_retained == stats.retained
+                assert assignment is not None
                 if assignment.n_retained:
                     assert stats.purity == purity(assignment, labels, use_mask=True)
                     scored += 1
                 else:
                     assert stats.purity is None
         assert scored > 0
-        # Without labels nothing is scored.
-        indices = sample_aligned_batch(data.train.n_rows, 24, rng)
-        metrics = run_round(parties, indices, 4, channel)
-        assert all(s.assignment is not None and s.purity is None
-                   for s in metrics.party_stats.values())
 
     @pytest.mark.parametrize("change", ["degenerate", "keeps no row"])
     def test_purity_none_when_the_assignment_cannot_be_scored(self, monkeypatch, change):
@@ -252,12 +245,11 @@ class TestRunRound:
         monkeypatch.setattr(protocol, "fcm", patched)
         cfg, data, parties = build_run()
         indices = sample_aligned_batch(data.train.n_rows, 24, Rng(2))
-        metrics = run_round(parties, indices, 0, MessageChannel(),
-                            batch_labels_for_diagnostics=data.train.labels[indices])
+        metrics = run_round(parties, indices, 0, MessageChannel())
         for stats in metrics.party_stats.values():
             assert stats.assignment is not None and stats.purity is None
             assert stats.assignment.degenerate == (change == "degenerate")
-            assert (stats.retained == 0) == (change == "keeps no row")
+            assert (stats.assignment.n_retained == 0) == (change == "keeps no row")
 
     def record_fcm_calls(self, monkeypatch, degenerate_rounds=()):
         """Each fcm call's round, init and rng; the listed rounds come back degenerate."""
@@ -404,6 +396,26 @@ class TestRunRound:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("dist_adjust", [True, False])
+    def test_epoch_means_are_the_mean_of_the_party_means(self, dist_adjust):
+        cfg, data, parties = build_run(**{"training.epochs": 3,
+                                          "adaptive.dist_adjust": dist_adjust})
+        rounds = []
+        history = train(parties, data, Rng(cfg.seed),
+                        on_round=lambda epoch, m: rounds.append((epoch, m.party_stats)))
+
+        def mean_of_party_means(epoch, key):
+            per_party = [[getattr(stats[pid], key) for e, stats in rounds
+                          if e == epoch and getattr(stats[pid], key) is not None]
+                         for pid in (0, 1)]
+            means = [float(np.mean(v)) for v in per_party if v]
+            return sum(means) / len(means) if means else None
+
+        for em in history.epochs:
+            assert em.mean_delta == mean_of_party_means(em.epoch, "delta_local")
+            assert em.mean_purity == mean_of_party_means(em.epoch, "purity")
+            assert (em.mean_purity is None) == (not dist_adjust)
+
     def test_zero_epochs_noop(self):
         cfg, data, parties = build_run(**{"training.epochs": 0})
         before = [l.weights.copy() for p in parties.passives for l in p.extractor.layers]
@@ -472,7 +484,7 @@ class TestTrain:
         retained = []
         with caplog.at_level("WARNING"):
             train(parties, data, Rng(cfg.seed), on_round=lambda e, m: retained.extend(
-                s.retained for s in m.party_stats.values()))
+                s.assignment.n_retained for s in m.party_stats.values()))
         skipped = sum(r < 2 for r in retained)
         assert 0 < skipped < len(retained)
         assert [r.getMessage() for r in caplog.records] == [
@@ -562,6 +574,15 @@ class TestEvaluate:
         single = [evaluate(parties, data.test, rng.split("repeat", i), repeats=1)
                   for i in range(3)]
         assert evaluate(parties, data.test, rng, repeats=3) == float(np.mean(single))
+
+    def test_unprotected_repeats_give_the_single_release_accuracy(self):
+        cfg, data, parties = build_run(**{
+            "privacy.enabled": False, "adaptive.rescale": False, "adaptive.dist_adjust": False,
+        })
+        train(parties, data, Rng(0), evaluate_each_epoch=False)
+        # Without the mechanism every repeat is the same release.
+        assert (evaluate(parties, data.test, Rng(1), repeats=3)
+                == evaluate(parties, data.test, Rng(1), repeats=1))
 
     def test_repeats_share_one_release_per_batch_and_party(self, monkeypatch):
         cfg, data, parties = build_run(**{"training.batch_size": 10})

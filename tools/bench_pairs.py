@@ -10,13 +10,15 @@ files take no part. For every seed of a ``--pairs`` workload it runs
 ``perfbench/run.py --trace 0`` once on each side, alternating which side
 goes first (even pair index: parent first), for ``run_seconds`` of
 ``BENCHMARK.json``. ``--traced`` adds one ``--trace 1`` run per side and
-seed, in the same alternating order, and ``--tier1`` times the Tier-1 suite
-once per side. The record holds every run's metrics, artefact sha256s and
-provenance, each side's quartiles of the end-to-end metrics of
-``BENCHMARK.json``, the change's wins and losses over the pairs, and each
-side's mean of every per-layer metric (``bench.tracing_overhead_pct``
-included) over the traced seeds of a workload. One traced run can land in
-a fast or slow spell of a shared machine, so read the means.
+seed, in the same alternating order, and ``--tier1`` times the Tier-1
+suite once per side. The record holds each side's ``src/dpvfl/*.py`` line
+total (what ``wc -l`` counts in the exported checkout), every run's
+metrics, artefact sha256s and provenance, each side's quartiles of the
+end-to-end metrics of ``BENCHMARK.json``, the change's wins and losses
+over the pairs, and each side's mean of every per-layer metric
+(``bench.tracing_overhead_pct`` included) over the traced seeds of a
+workload. One traced run can land in a fast or slow spell of a shared
+machine, so read the means.
 """
 
 from __future__ import annotations
@@ -78,6 +80,11 @@ def export(sha: str, directory: Path) -> None:
     directory.mkdir(parents=True)
     archive = subprocess.run(["git", "archive", sha], check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(directory)], input=archive, check=True)
+
+
+def src_lines(root: Path) -> int:
+    """The total ``wc -l src/dpvfl/*.py`` prints in a checkout: its newline count."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "dpvfl").glob("*.py"))
 
 
 def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -175,6 +182,8 @@ def main(argv=None) -> int:
                      "(traced seeds too)",
             "quartiles": "numpy linear-interpolation 25th/50th/75th percentiles "
                          "over the paired runs of one side",
+            "src_lines": "newlines in src/dpvfl/*.py of each exported checkout, "
+                         "the total wc -l prints",
             "wins": "pairs where the change's value is better than the parent's; "
                     "ties count for neither side",
         },
@@ -184,6 +193,7 @@ def main(argv=None) -> int:
         roots = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(shas[side], roots[side])
+        record["src_lines"] = {side: src_lines(roots[side]) for side in SIDES}
         for workload, seeds in workload_seeds(args.pairs):
             runs = []
             for index, seed in enumerate(seeds):
