@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpvfl import numerics
 from dpvfl.errors import ArgumentError
 from dpvfl.mechanism import clip_norm
 from dpvfl.numerics import (
@@ -112,7 +114,7 @@ class TestPairwiseDistances:
         assert np.array_equal(d, per_row_distances(batch))
         assert np.count_nonzero(d == 0.0) == int(duplicate)
 
-    @pytest.mark.parametrize("n", [2, 3, 60, 100])
+    @pytest.mark.parametrize("n", [2, 3, 60, 100, 240])
     def test_bit_equal_to_triu_gather(self, n):
         batch = Rng(n).normal(0, 1, (n, 16))
         j_idx, k_idx = np.triu_indices(n, k=1)
@@ -123,7 +125,31 @@ class TestPairwiseDistances:
     @pytest.mark.parametrize("n", [2, 3, 60])
     def test_pair_firsts_is_the_j_gather(self, n):
         batch = Rng(n).normal(0, 1, (n, 5))
-        assert np.array_equal(pair_firsts(batch), batch[pair_indices(n)[0]])
+        j_idx = pair_indices(n)[0]
+        assert np.array_equal(pair_firsts(batch), batch[j_idx])
+        start, stop = n // 3, n - 1
+        assert np.array_equal(pair_firsts(batch, start, stop),
+                              batch[j_idx[(j_idx >= start) & (j_idx < stop)]])
+
+    @pytest.mark.parametrize("block", [1, 16, 100, 1000])
+    @pytest.mark.parametrize("n", [2, 7, 60])
+    def test_blocks_give_the_same_bits(self, monkeypatch, n, block):
+        batch = Rng(n).normal(0, 1, (n, 16))
+        whole = pairwise_distances(batch)
+        monkeypatch.setattr(numerics, "PAIR_BLOCK_ENTRIES", block)
+        assert np.array_equal(pairwise_distances(batch), whole)
+
+    def test_large_batch_allocates_one_block_at_a_time(self):
+        batch = Rng(5).normal(0, 1, (240, 16))
+        pair_indices(240)  # cached index arrays are not per-call memory
+        tracemalloc.start()
+        try:
+            d = pairwise_distances(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The output, one block's differences and first rows, a little slack.
+        assert peak <= d.nbytes + 2 * 8 * numerics.PAIR_BLOCK_ENTRIES + 2**16
 
     @settings(max_examples=50)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
