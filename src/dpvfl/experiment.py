@@ -114,7 +114,8 @@ def measure_stage_times(cfg: ExperimentConfig) -> dict[str, float]:
     """Wall-time per pipeline stage over a fixed budget of rounds.
 
     Returns seconds for the four accounted stages, in the order base,
-    noise, rescale, dist_adjust; disabled stages report 0.0.
+    noise, rescale, dist_adjust; disabled stages report 0.0. Each round
+    gets its own message channel, as in ``train``.
     """
     from .protocol import MessageChannel, run_round, sample_aligned_batch
 
@@ -126,10 +127,9 @@ def measure_stage_times(cfg: ExperimentConfig) -> dict[str, float]:
     timed = replace(cfg, training=replace(cfg.training, batch_size=batch_size))
     parties = build_parties(timed, data)
     rng = Rng(cfg.seed).split("timing")
-    channel = MessageChannel()
     for round_index in range(cfg.timing.rounds):
         indices = sample_aligned_batch(data.train.n_rows, batch_size, rng)
-        run_round(parties, indices, round_index, channel, timer=timer)
+        run_round(parties, indices, round_index, MessageChannel(), timer=timer)
     return dict(timer.seconds)
 
 

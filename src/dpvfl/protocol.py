@@ -14,7 +14,9 @@ Each communication round runs, in order:
    pre-noise (clipped, then rescaled) embeddings, and takes an SGD step.
 
 Only post-noise embeddings and gradients ever cross a party boundary; the
-message channel keeps a log so tests can audit that.
+message channel keeps a log so tests can audit that. A training opens one
+channel per round, so it holds one round's messages at a time; a caller that
+passes its own channel to :func:`run_round` keeps everything it was sent.
 """
 
 from __future__ import annotations
@@ -71,7 +73,10 @@ class MessageChannel:
     """In-process exchange with the same schema a socket transport would carry.
 
     Each (kind, party, round) holds at most one pending message; everything
-    sent stays in ``log`` so a test spy can audit boundary hygiene.
+    sent stays in ``log`` so a test spy can audit boundary hygiene. The log
+    lives as long as the channel: :func:`train` and ``measure_stage_times``
+    open one channel per round, while a channel a caller keeps across rounds
+    keeps every message it was sent.
     """
 
     def __init__(self):
@@ -441,7 +446,8 @@ def evaluate(
     ``repeats`` averages the accuracy over several release draws for a
     lower-variance estimate of the same quantity. The repeats share one
     pre-noise (forward, clip, rescale) pass per batch and party and only
-    redraw the noise, draw ``i`` from ``rng.split("repeat", i)``.
+    redraw the noise, draw ``i`` from ``rng.split("repeat", i)``. A single
+    draw (``repeats == 1``) uses ``rng`` itself.
 
     Evaluation runs the trained extractors themselves, so it refuses to run
     while a party has a round pending: the forward pass would overwrite the
@@ -515,7 +521,9 @@ def train(
     """Epoch x mini-batch loop of communication rounds.
 
     Zero configured epochs returns an empty history without touching any
-    party. ``on_round`` (epoch, RoundMetrics) observes every round for
+    party. Every round gets a fresh :class:`MessageChannel`, so only one
+    round's embeddings and gradients are held at a time and memory does not
+    grow with the number of rounds. ``on_round`` (epoch, RoundMetrics) observes every round for
     logging. ``evaluate_each_epoch=False`` skips the per-epoch test
     evaluation and records ``test_accuracy=None``; the trained parties are
     the same, because evaluation changes no weight and only splits RNG
@@ -532,7 +540,6 @@ def train(
         )
     rounds_per_epoch = n_train // config.batch_size
     batch_rng = rng.split("batch")
-    channel = MessageChannel()
     history = TrainingHistory()
     batch_index = 0
     clustered = skipped = 0
@@ -543,7 +550,7 @@ def train(
             purities: dict[int, list] = {p.party_id: [] for p in parties.passives}
             for _ in range(rounds_per_epoch):
                 indices = sample_aligned_batch(n_train, config.batch_size, batch_rng)
-                metrics = run_round(parties, indices, batch_index, channel)
+                metrics = run_round(parties, indices, batch_index, MessageChannel())
                 if on_round is not None:
                     on_round(epoch, metrics)
                 losses.append(metrics.loss)

@@ -1,6 +1,9 @@
 import math
 
 import numpy as np
+import pytest
+
+from dpvfl import protocol
 
 
 def central_difference(f, x, step=1e-6):
@@ -39,3 +42,28 @@ def erf_inv_bisect(p, tol=1e-13):
         if hi - lo < tol:
             break
     return (lo + hi) / 2
+
+
+@pytest.fixture
+def recorded_channels(monkeypatch) -> list:
+    """Every ``MessageChannel`` that ``dpvfl.protocol`` code builds from here on,
+    in creation order (``measure_stage_times`` imports the name at call time)."""
+    channels = []
+
+    class RecordingChannel(protocol.MessageChannel):
+        def __init__(self):
+            super().__init__()
+            channels.append(self)
+
+    monkeypatch.setattr(protocol, "MessageChannel", RecordingChannel)
+    return channels
+
+
+def assert_one_round_per_channel(channels, party_ids):
+    """Channel ``i`` carried round ``i`` only: one embedding up and one
+    gradient down per passive party, none of them left pending."""
+    for round_index, channel in enumerate(channels):
+        sent = sorted((m.kind, m.party_id, m.batch_index) for m in channel.log)
+        assert sent == sorted((kind, pid, round_index) for pid in party_ids
+                              for kind in (protocol.EMBEDDING_UP, protocol.GRADIENT_DOWN))
+        assert channel._pending == {}

@@ -25,6 +25,8 @@ from dpvfl.experiment import (
 )
 from dpvfl.numerics import Rng
 
+from conftest import assert_one_round_per_channel
+
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CSV_COLUMNS = [
@@ -620,6 +622,12 @@ class TestTiming:
     def test_stage_keys_in_table_order(self):
         cfg = parse_config(tiny_raw(**{"timing.rounds": 1}))
         assert list(measure_stage_times(cfg)) == ["base", "noise", "rescale", "dist_adjust"]
+
+    def test_every_round_gets_its_own_channel(self, recorded_channels):
+        cfg = parse_config(tiny_raw(**{"timing.rounds": 4}))
+        measure_stage_times(cfg)
+        assert len(recorded_channels) == 4
+        assert_one_round_per_channel(recorded_channels, [0, 1])
 
     def test_disabled_stages_zero(self):
         cfg = parse_config(tiny_raw(**{

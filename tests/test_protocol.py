@@ -17,6 +17,7 @@ from dpvfl.experiment import build_dataset, build_parties
 from dpvfl.mechanism import PrivacyParams, calibrate_sigma, clip_norm
 from dpvfl.neural import DenseNet, cross_entropy_softmax, sgd_step
 from dpvfl.numerics import Rng
+from conftest import assert_one_round_per_channel
 from dpvfl.protocol import (
     EMBEDDING_UP,
     GRADIENT_DOWN,
@@ -415,6 +416,12 @@ class TestTrain:
             assert em.mean_delta == mean_of_party_means(em.epoch, "delta_local")
             assert em.mean_purity == mean_of_party_means(em.epoch, "purity")
             assert (em.mean_purity is None) == (not dist_adjust)
+
+    def test_every_round_gets_its_own_channel(self, recorded_channels):
+        cfg, data, parties = build_run()
+        history = train(parties, data, Rng(cfg.seed))
+        assert len(recorded_channels) == history.rounds > 1
+        assert_one_round_per_channel(recorded_channels, [0, 1])
 
     def test_zero_epochs_noop(self):
         cfg, data, parties = build_run(**{"training.epochs": 0})

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --label attack_speedup --parent HEAD~1 --change HEAD \\
         --pairs attack_seed=701-710 --pairs train_full=801-810 \\
-        --traced train_full=1041-1044 --tier1
+        --traced train_full=1041-1044 --tier1 3
 
 Run it from the root of a dpvfl git checkout. Each revision is exported
 with ``git archive`` into its own temporary directory, so uncommitted
@@ -10,8 +10,13 @@ files take no part. For every seed of a ``--pairs`` workload it runs
 ``perfbench/run.py --trace 0`` once on each side, alternating which side
 goes first (even pair index: parent first), for ``run_seconds`` of
 ``BENCHMARK.json``. ``--traced`` adds one ``--trace 1`` run per side and
-seed, in the same alternating order, and ``--tier1`` times the Tier-1
-suite once per side. The record holds each side's ``src/dpvfl/*.py`` line
+seed, in the same alternating order, and ``--tier1 N`` runs the Tier-1
+suite N times per side (``--tier1`` alone: once), alternating in the same
+way. Each Tier-1 run records its wall time, counts, slowest tests and the
+``PASS/FAIL criterion N: ... [detail]`` line of every acceptance criterion
+that printed one, read from the captured output that ``-rP`` shows for
+passed tests (and pytest shows for failed ones), so criterion 10's stage
+shares land in the record. The record holds each side's ``src/dpvfl/*.py`` line
 total (what ``wc -l`` counts in the exported checkout), every run's
 metrics, artefact sha256s and provenance, each side's quartiles of the
 end-to-end metrics of ``BENCHMARK.json``, the change's wins and losses
@@ -37,7 +42,8 @@ import numpy as np
 
 SIDES = ("parent", "change")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-         "-p", "no:cacheprovider", "--durations=0"]
+         "-p", "no:cacheprovider", "--durations=0", "-rP"]
+CRITERION_LINE = re.compile(r"^(?:PASS|FAIL) criterion (\d+): .*$", re.MULTILINE)
 
 
 def parse_args(argv):
@@ -48,7 +54,8 @@ def parse_args(argv):
     parser.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=SEEDS",
                         help="seeds as 'a-b' or 'a,b,c'; repeat for more workloads")
     parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD=SEED")
-    parser.add_argument("--tier1", action="store_true", help="time the Tier-1 suite per side")
+    parser.add_argument("--tier1", type=int, nargs="?", const=1, default=0, metavar="RUNS",
+                        help="time the Tier-1 suite RUNS times per side (default 1)")
     parser.add_argument("--title", default="")
     parser.add_argument("--workdir", default=None, help="parent of the temporary checkouts")
     return parser.parse_args(argv)
@@ -150,7 +157,8 @@ def layer_means(traced_runs: list[dict], names: list[str]) -> dict:
 
 
 def tier1(root: Path) -> dict:
-    """Wall time and outcome of the Tier-1 suite, with the slowest tests' durations."""
+    """Wall time and outcome of the Tier-1 suite, with the slowest tests' durations
+    and each acceptance criterion's PASS/FAIL line, keyed by its number."""
     started = time.perf_counter()
     done = subprocess.run(TIER1, cwd=root, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": "src"})
@@ -160,8 +168,10 @@ def tier1(root: Path) -> dict:
     durations = {test: float(seconds) for seconds, test in
                  re.findall(r"^([\d.]+)s call\s+(\S+)$", done.stdout, re.MULTILINE)}
     slowest = dict(sorted(durations.items(), key=lambda kv: -kv[1])[:5])
+    criteria = {match.group(1): match.group(0) for match in CRITERION_LINE.finditer(done.stdout)}
     return {"wall_s": wall, "returncode": done.returncode, "summary": tail,
-            "counts": counts, "slowest_call_s": slowest}
+            "counts": counts, "slowest_call_s": slowest,
+            "criteria": dict(sorted(criteria.items(), key=lambda kv: int(kv[0])))}
 
 
 def main(argv=None) -> int:
@@ -229,10 +239,13 @@ def main(argv=None) -> int:
                 "seeds": seeds, **layer_means(traced_runs, per_layer),
             }
         if args.tier1:
-            record["tier1"] = {}
-            for side in SIDES:
-                record["tier1"][side] = tier1(roots[side])
-                print(f"tier1 {side}: {record['tier1'][side]['summary']}", flush=True)
+            record["tier1"] = {side: [] for side in SIDES}
+            for index in range(args.tier1):
+                for side in SIDES if index % 2 == 0 else SIDES[::-1]:
+                    run = tier1(roots[side])
+                    record["tier1"][side].append(run)
+                    print(f"tier1 {side} run {index}: {run['summary']} "
+                          f"{run['criteria'].get('10', 'no criterion 10 line')}", flush=True)
     out = repo / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
