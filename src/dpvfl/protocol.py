@@ -523,11 +523,11 @@ def train(
     Zero configured epochs returns an empty history without touching any
     party. Every round gets a fresh :class:`MessageChannel`, so only one
     round's embeddings and gradients are held at a time and memory does not
-    grow with the number of rounds. ``on_round`` (epoch, RoundMetrics) observes every round for
-    logging. ``evaluate_each_epoch=False`` skips the per-epoch test
-    evaluation and records ``test_accuracy=None``; the trained parties are
-    the same, because evaluation changes no weight and only splits RNG
-    streams. A round with a non-finite value in an extractor output, the
+    grow with the number of rounds. ``on_round`` (epoch, RoundMetrics)
+    observes every round for logging. ``evaluate_each_epoch=False`` skips
+    the per-epoch test evaluation and records ``test_accuracy=None``; the
+    trained parties are the same, because evaluation changes no weight and
+    only splits RNG streams. A round with a non-finite value in an extractor output, the
     head logits or a returned gradient raises ``ProtocolError`` naming the
     epoch, round and party. Party-rounds whose confidence filter kept too
     few rows for a contrastive term are counted in one warning at the end.

@@ -17,7 +17,6 @@ from dpvfl.experiment import build_dataset, build_parties
 from dpvfl.mechanism import PrivacyParams, calibrate_sigma, clip_norm
 from dpvfl.neural import DenseNet, cross_entropy_softmax, sgd_step
 from dpvfl.numerics import Rng
-from conftest import assert_one_round_per_channel
 from dpvfl.protocol import (
     EMBEDDING_UP,
     GRADIENT_DOWN,
@@ -31,6 +30,8 @@ from dpvfl.protocol import (
     sample_aligned_batch,
     train,
 )
+
+from conftest import assert_one_round_per_channel
 
 
 def config_for(**overrides) -> ExperimentConfig:

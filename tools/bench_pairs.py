@@ -16,14 +16,14 @@ way. Each Tier-1 run records its wall time, counts, slowest tests and the
 ``PASS/FAIL criterion N: ... [detail]`` line of every acceptance criterion
 that printed one, read from the captured output that ``-rP`` shows for
 passed tests (and pytest shows for failed ones), so criterion 10's stage
-shares land in the record. The record holds each side's ``src/dpvfl/*.py`` line
-total (what ``wc -l`` counts in the exported checkout), every run's
-metrics, artefact sha256s and provenance, each side's quartiles of the
-end-to-end metrics of ``BENCHMARK.json``, the change's wins and losses
-over the pairs, and each side's mean of every per-layer metric
-(``bench.tracing_overhead_pct`` included) over the traced seeds of a
-workload. One traced run can land in a fast or slow spell of a shared
-machine, so read the means.
+shares land in the record. The record holds each side's
+``src/dpvfl/*.py`` line total (what ``wc -l`` counts in the exported
+checkout), every run's metrics, artefact sha256s and provenance, each
+side's quartiles of the end-to-end metrics of ``BENCHMARK.json``, the
+change's wins and losses over the pairs, and each side's mean of every
+per-layer metric (``bench.tracing_overhead_pct`` included) over the
+traced seeds of a workload. One traced run can land in a fast or slow
+spell of a shared machine, so read the means.
 """
 
 from __future__ import annotations
