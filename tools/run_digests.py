@@ -10,6 +10,10 @@ The script runs the ``dpvfl`` CLI of the checkout it sits in (its ``src`` on
   adjustments off) and ``full`` victims of ``configs/attack_victim.json``,
   then ``attack`` on them;
 - ``ablate configs/attack_victim.json``;
+- ``train`` on a copy of ``configs/attack_victim.json`` with
+  ``privacy.sigma_override`` 0.1, below its calibrated sigma (about 0.31),
+  and ``evaluation.repeats`` 2, so the noise-multiplier override reaches
+  every release: training rounds and both evaluation draws;
 - ``train`` on a seeded 400-row CSV (numeric, categorical and label
   columns, ``ranges`` and ``limit``) and on a seeded gzipped IDX pair of
   200 8x8 images (``halves`` and ``limit``), both written into the
@@ -59,7 +63,7 @@ CSV_DATASET = {
 }
 IDX_DATASET = {"kind": "idx", "images": "images.idx.gz", "labels": "labels.idx.gz",
                "halves": ["left", "right"], "limit": 160}
-INPUTS = ("unprotected.json", "people.csv", "csv.json", "images.idx.gz", "labels.idx.gz",
+INPUTS = ("unprotected.json", "override.json", "people.csv", "csv.json", "images.idx.gz", "labels.idx.gz",
           "idx.json")
 
 
@@ -92,6 +96,11 @@ def commands(work: Path) -> list[list[str]]:
     raw = json.loads(ATTACK.read_text(encoding="utf-8"))
     raw["privacy"]["enabled"] = False
     unprotected.write_text(json.dumps(raw, indent=2), encoding="utf-8")
+    override = work / "override.json"
+    raw = json.loads(ATTACK.read_text(encoding="utf-8"))
+    raw["privacy"]["sigma_override"] = 0.1
+    raw["evaluation"] = {"repeats": 2}
+    override.write_text(json.dumps(raw, indent=2), encoding="utf-8")
     victims = work / "victims"
 
     def call(command, config, out, *extra):
@@ -105,6 +114,7 @@ def commands(work: Path) -> list[list[str]]:
         call("train", ATTACK, "victims/full"),
         call("attack", ATTACK, "attack", "--victims", str(victims)),
         call("ablate", ATTACK, "ablate"),
+        call("train", override, "override"),
         call("train", work / "csv.json", "csv"),
         call("train", work / "idx.json", "idx"),
     ]
