@@ -56,9 +56,9 @@ def build_parties(cfg: ExperimentConfig, data: DatasetSplits) -> Parties:
     """
     root = Rng(cfg.seed)
     p = cfg.privacy
-    privacy = PrivacyParams.from_budget(
+    privacy = replace(PrivacyParams.from_budget(
         p.epsilon, p.delta, p.clip_threshold, allow_large_epsilon=p.allow_large_epsilon,
-    ) if p.enabled else None
+    ), noise_sigma=p.sigma_override) if p.enabled else None
     passives = []
     for pid in range(data.train.n_parties):
         dims = (
@@ -77,7 +77,6 @@ def build_parties(cfg: ExperimentConfig, data: DatasetSplits) -> Parties:
             adaptive=cfg.adaptive,
             n_clusters=data.train.n_classes,
             rng=root,
-            sigma_override=p.sigma_override if privacy is not None else None,
         ))
     head_dims = (
         [cfg.model.embedding_dim * data.train.n_parties]

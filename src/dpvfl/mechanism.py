@@ -47,14 +47,17 @@ def calibrate_sigma(epsilon: float, delta: float) -> float:
 @dataclass(frozen=True)
 class PrivacyParams:
     """The Gaussian mechanism's settings: the (epsilon, delta) budget, the
-    clip threshold ``t`` and ``sigma``, the noise multiplier actually used
-    (at least the minimal calibrated value).
+    clip threshold ``t``, ``sigma``, the calibrated noise multiplier (at
+    least the minimal compliant value), and ``noise_sigma``, the multiplier
+    the noise uses instead when set (the ``privacy.sigma_override`` testing
+    hook; 0 turns the noise off).
     """
 
     epsilon: float
     delta: float
     clip_threshold: float
     sigma: float = 0.0
+    noise_sigma: float | None = None
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -68,6 +71,8 @@ class PrivacyParams:
             raise ArgumentError(
                 f"sigma={self.sigma} below the minimal compliant value {minimal:.6f}"
             )
+        if self.noise_sigma is not None and self.noise_sigma < 0:
+            raise ArgumentError(f"noise sigma must be non-negative, got {self.noise_sigma}")
 
     @classmethod
     def from_budget(
@@ -104,8 +109,10 @@ class PrivacyParams:
 
     @property
     def noise_std(self) -> float:
-        """Per-coordinate noise standard deviation sigma * 2t."""
-        return self.sigma * SENSITIVITY_FACTOR * self.clip_threshold
+        """Per-coordinate noise standard deviation sigma * 2t, at ``noise_sigma``
+        when set."""
+        multiplier = self.sigma if self.noise_sigma is None else self.noise_sigma
+        return multiplier * SENSITIVITY_FACTOR * self.clip_threshold
 
 
 def _row_norms(b: np.ndarray) -> np.ndarray:
@@ -161,23 +168,14 @@ def clip_norm_vjp(batch, t: float, upstream) -> np.ndarray:
     return out
 
 
-def add_noise(
-    batch,
-    params: PrivacyParams,
-    rng: Rng,
-    *,
-    sigma: float | None = None,
-) -> np.ndarray:
-    """Perturb every entry with i.i.d. normal noise of std ``sigma * 2t``.
+def add_noise(batch, params: PrivacyParams, rng: Rng) -> np.ndarray:
+    """Perturb every entry with i.i.d. normal noise of std ``params.noise_std``.
 
-    ``sigma`` overrides the record's multiplier; passing 0 is the noise-off
-    testing hook and returns a copy of the batch.
+    A record with ``noise_sigma`` 0, the noise-off testing hook, returns a
+    copy of the batch.
     """
     b = as_matrix(batch, "batch")
-    multiplier = params.sigma if sigma is None else float(sigma)
-    if multiplier < 0:
-        raise ArgumentError(f"sigma must be non-negative, got {multiplier}")
-    std = multiplier * SENSITIVITY_FACTOR * params.clip_threshold
+    std = params.noise_std
     if std == 0.0:
         return b.copy()
     if b.size == 0:

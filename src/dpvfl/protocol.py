@@ -163,13 +163,12 @@ def release(
     adaptive: AdaptiveSection,
     rng: Rng,
     *,
-    sigma: float | None = None,
     timer: StageTimer | None = None,
 ) -> ReleaseTrace:
     """Clip each row of ``raw`` to ``t``, estimate and rescale if
     ``adaptive.rescale`` is on (for two rows or more), then add noise from
-    ``rng`` at multiplier ``sigma`` (default ``privacy.sigma``). The timer
-    buckets are base, rescale and noise. ``privacy=None`` releases ``raw``.
+    ``rng`` at the record's ``noise_std``. The timer buckets are base,
+    rescale and noise. ``privacy=None`` releases ``raw``.
     """
     if privacy is None:
         return ReleaseTrace(raw=raw, estimate=None, factor=1.0, adjusted=raw, released=raw)
@@ -183,7 +182,7 @@ def release(
             factor = rescale_factor(estimate, t)
             adjusted = rescale(clipped, estimate, t)
     with _stage(timer, StageTimer.NOISE):
-        released = add_noise(adjusted, privacy, rng, sigma=sigma)
+        released = add_noise(adjusted, privacy, rng)
     return ReleaseTrace(
         raw=raw, estimate=estimate, factor=factor, adjusted=adjusted, released=released,
     )
@@ -218,7 +217,6 @@ class PassiveParty:
         n_clusters: int,
         rng: Rng,
         privacy: PrivacyParams | None = None,
-        sigma_override: float | None = None,
     ):
         if privacy is None and (adaptive.rescale or adaptive.dist_adjust):
             raise ArgumentError("adaptive adjustments require the privacy mechanism")
@@ -229,7 +227,6 @@ class PassiveParty:
         self.privacy = privacy
         self.adaptive = adaptive
         self.n_clusters = n_clusters
-        self.sigma_override = sigma_override
         self._noise_rng = rng.split("noise", self.party_id)
         self._fcm_rng = rng.split("fcm", self.party_id)
         # FCM centers of the last round, in gradient space; None to redraw.
@@ -248,8 +245,7 @@ class PassiveParty:
         with _stage(timer, StageTimer.BASE):
             raw = self.extractor.forward(x)
         _check_finite(raw, batch_index, f"party {self.party_id}", "the extractor output")
-        return release(raw, self.privacy, self.adaptive, noise_rng,
-                       sigma=self.sigma_override, timer=timer)
+        return release(raw, self.privacy, self.adaptive, noise_rng, timer=timer)
 
     def embed_and_share(
         self,
@@ -478,8 +474,7 @@ def evaluate(
             for draws, stream in zip(released[1:], streams[1:]):
                 if party.privacy is not None:
                     noise_rng = stream.split("eval", party.party_id, start)
-                    draws.append(add_noise(trace.adjusted, party.privacy, noise_rng,
-                                           sigma=party.sigma_override))
+                    draws.append(add_noise(trace.adjusted, party.privacy, noise_rng))
                 else:
                     draws.append(trace.released)
         for i, draws in enumerate(released):

@@ -117,7 +117,7 @@ def training_summary(result: RunResult, runtime_seconds: float) -> dict:
     passives = result.parties.passives
     if passives and passives[0].privacy is not None:
         p = passives[0].privacy
-        override = passives[0].sigma_override
+        override = p.noise_sigma
         note = "per-round budget; no cross-round composition is claimed"
         if override is not None and override < p.sigma:
             note = (f"sigma_override {override} is below the calibrated sigma {p.sigma}: "

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,11 @@ from dpvfl.numerics import Rng
 
 
 def identity_release(noise_sigma=0.0, t=1e6):
-    params = PrivacyParams.from_budget(0.5, 1e-2, t)
+    params = replace(PrivacyParams.from_budget(0.5, 1e-2, t), noise_sigma=noise_sigma)
 
     def release(x, rng):
         clipped = clip_norm(np.asarray(x, dtype=np.float64), t)
-        return add_noise(clipped, params, rng, sigma=noise_sigma)
+        return add_noise(clipped, params, rng)
 
     return release
 

@@ -203,7 +203,7 @@ class TestClipNormVjp:
 class TestAddNoise:
     def test_sigma_zero_hook_returns_copy(self):
         batch = Rng(1).normal(0, 1, (4, 3))
-        out = add_noise(batch, params_for(), Rng(2), sigma=0.0)
+        out = add_noise(batch, replace(params_for(), noise_sigma=0.0), Rng(2))
         npt.assert_array_equal(out, batch)
         assert out is not batch
 
@@ -223,7 +223,7 @@ class TestAddNoise:
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ArgumentError, match="sigma must be non-negative"):
-            add_noise(np.ones((2, 2)), params_for(), Rng(0), sigma=-1.0)
+            replace(params_for(), noise_sigma=-1.0)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ArgumentError, match="shape must be positive"):

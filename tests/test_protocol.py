@@ -190,7 +190,7 @@ class TestRelease:
         party = parties.passives[1]
         x = data.train.party_features[1][:16]
         expected = release(party.extractor.copy().forward(x), party.privacy, party.adaptive,
-                           Rng(5), sigma=2.5)
+                           Rng(5))
         trace = party.compute_release(x, Rng(5))
         npt.assert_array_equal(trace.adjusted, expected.adjusted)
         npt.assert_array_equal(trace.released, expected.released)
