@@ -59,18 +59,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"output directory (default: ${OUT_ROOT_ENV} or ./runs)")
         p.add_argument("--force", action="store_true",
                        help="overwrite an existing run directory")
+        return p
+
+    def toggles(p):
+        # ablate sets both adjustments per cell, and attack reads only cfg.attack.
         p.add_argument("--toggle-rescale", type=_parse_bool, default=None,
                        metavar="BOOL", help="override adaptive.rescale")
         p.add_argument("--toggle-distadj", type=_parse_bool, default=None,
                        metavar="BOOL", help="override adaptive.dist_adjust")
 
-    common(sub.add_parser("train", help="train one configuration"))
+    toggles(common(sub.add_parser("train", help="train one configuration")))
     common(sub.add_parser("ablate", help="run the vanilla/+R/+D/full grid"))
-    attack = sub.add_parser("attack", help="attack trained victim runs")
-    common(attack)
+    attack = common(sub.add_parser("attack", help="attack trained victim runs"))
     attack.add_argument("--victims", required=True,
                         help="directory of victim run directories (one per tag)")
-    common(sub.add_parser("timing", help="measure the stage time breakdown"))
+    toggles(common(sub.add_parser("timing", help="measure the stage time breakdown")))
     return parser
 
 
@@ -78,10 +81,20 @@ def _resolve_config(args) -> ExperimentConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.toggle_rescale is not None:
-        cfg = replace(cfg, adaptive=replace(cfg.adaptive, rescale=args.toggle_rescale))
-    if args.toggle_distadj is not None:
-        cfg = replace(cfg, adaptive=replace(cfg.adaptive, dist_adjust=args.toggle_distadj))
+    return cfg
+
+
+def _resolve_toggled_config(args) -> ExperimentConfig:
+    """The config with the ``--toggle-*`` overrides of ``train`` and ``timing``; the
+    adjustments act on the clipped batch, which only the mechanism makes."""
+    cfg = _resolve_config(args)
+    for key, flag, value in (("rescale", "--toggle-rescale", args.toggle_rescale),
+                             ("dist_adjust", "--toggle-distadj", args.toggle_distadj)):
+        if value is not None:
+            cfg = replace(cfg, adaptive=replace(cfg.adaptive, **{key: value}))
+        if not cfg.privacy.enabled and getattr(cfg.adaptive, key):
+            raise ConfigError(f"adaptive.{key} needs privacy.enabled; set privacy.enabled "
+                              f"to true or pass {flag} false")
     return cfg
 
 
@@ -96,17 +109,8 @@ def _open_run_dir(args, cfg: ExperimentConfig):
     print(f"run directory: {path}")
 
 
-def _require_mechanism_for_adjustments(cfg: ExperimentConfig) -> None:
-    # The adjustments act on the clipped batch, which only the mechanism makes.
-    for key, flag in (("rescale", "--toggle-rescale"), ("dist_adjust", "--toggle-distadj")):
-        if not cfg.privacy.enabled and getattr(cfg.adaptive, key):
-            raise ConfigError(f"adaptive.{key} needs privacy.enabled; set privacy.enabled "
-                              f"to true or pass {flag} false")
-
-
 def cmd_train(args) -> int:
-    cfg = _resolve_config(args)
-    _require_mechanism_for_adjustments(cfg)
+    cfg = _resolve_toggled_config(args)
     with _open_run_dir(args, cfg) as run_dir:
         log = runs.EventLog(run_dir)
         started = time.perf_counter()
@@ -222,8 +226,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_timing(args) -> int:
-    cfg = _resolve_config(args)
-    _require_mechanism_for_adjustments(cfg)
+    cfg = _resolve_toggled_config(args)
     with _open_run_dir(args, cfg) as run_dir:
         seconds = measure_stage_times(cfg)
         total = sum(seconds.values())
@@ -252,7 +255,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("DPVFL_LOG", "WARNING"))
+    level = os.environ.get("DPVFL_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: DPVFL_LOG must name a logging level such as DEBUG or INFO, "
+              f"got {level!r}", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -212,7 +212,10 @@ def save_checkpoint(net: DenseNet, path) -> None:
 
 
 def load_checkpoint(path) -> DenseNet:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise CheckpointError(f"missing checkpoint {path}") from exc
     if len(raw) < len(_MAGIC) + 8:
         raise CheckpointError(f"{path}: truncated checkpoint")
     if raw[:4] != _MAGIC:

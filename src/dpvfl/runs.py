@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
-from .errors import CheckpointError, ConfigError
+from .errors import ConfigError
 from .experiment import RunResult, build_dataset, build_parties
 from .neural import load_checkpoint, save_checkpoint
 from .protocol import Parties, TrainingHistory
@@ -178,14 +178,8 @@ def load_run(run_dir) -> RunResult:
     parties = build_parties(cfg, data)
     cp = run_dir / CHECKPOINT_DIR
     for party in parties.passives:
-        path = cp / f"party_{party.party_id}.bin"
-        if not path.exists():
-            raise CheckpointError(f"missing checkpoint {path}")
-        party.extractor = load_checkpoint(path)
-    head_path = cp / "head.bin"
-    if not head_path.exists():
-        raise CheckpointError(f"missing checkpoint {head_path}")
-    parties.active.head = load_checkpoint(head_path)
+        party.extractor = load_checkpoint(cp / f"party_{party.party_id}.bin")
+    parties.active.head = load_checkpoint(cp / "head.bin")
     return RunResult(config=cfg, data=data, parties=parties, history=TrainingHistory())
 
 

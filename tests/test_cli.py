@@ -647,6 +647,30 @@ class TestUsage:
             main(["train"])  # --config is required
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command", ["ablate", "attack"])
+    @pytest.mark.parametrize("flag", ["--toggle-rescale", "--toggle-distadj"])
+    def test_toggles_are_refused_where_they_would_be_ignored(self, tmp_path, capsys, command,
+                                                            flag):
+        # ablate sets both adjustments in every cell; attack reads only the attack section.
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run"
+        extra = ["--victims", str(tmp_path)] if command == "attack" else []
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--config", str(cfg), "--out", str(out), *extra, flag, "false"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} false" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_log_level_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DPVFL_LOG", "verbose")
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: DPVFL_LOG must name a logging level such as DEBUG or INFO, got 'verbose'\n"
+        )
+        assert not out.exists()
+
     def test_unexpected_exception_exits_1_with_one_line(self, tmp_path, monkeypatch,
                                                         capsys, caplog):
         def broken(args):

@@ -509,6 +509,15 @@ class TestVictimAccess:
         assert probs.shape == (10, 2)
         npt.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_zero_sigma_override_releases_the_pre_noise_batch(self):
+        result = run_training(parse_config(tiny_raw(**{"privacy.sigma_override": 0.0})))
+        victim = VflVictim(result.parties)
+        party = result.parties.passives[1]
+        assert party.privacy.noise_sigma == 0.0 and party.privacy.sigma > 0
+        x = result.data.test.party_features[1][:10]
+        npt.assert_array_equal(victim.release_embeddings(1, x, Rng(5)),
+                               party.compute_release(x, Rng(5)).adjusted)
+
     def test_queries_leave_the_weights_unchanged(self):
         result = run_training(parse_config(tiny_raw()))
         nets = [p.extractor for p in result.parties.passives] + [result.parties.active.head]

@@ -221,6 +221,12 @@ class TestAddNoise:
         b = add_noise(batch, p, Rng(9).split("noise", 0))
         npt.assert_array_equal(a, b)
 
+    def test_noise_std_uses_the_records_noise_sigma(self):
+        p = replace(params_for(), noise_sigma=0.25)
+        assert p.noise_std == 0.25 * 2.0
+        batch = np.zeros((200, 500))
+        assert abs(add_noise(batch, p, Rng(3)).std() - 0.5) / 0.5 < 0.01
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(ArgumentError, match="sigma must be non-negative"):
             replace(params_for(), noise_sigma=-1.0)

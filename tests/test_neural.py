@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -313,6 +314,11 @@ class TestCheckpoint:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(path)
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.bin"
+        with pytest.raises(CheckpointError, match=f"^missing checkpoint {re.escape(str(path))}$"):
             load_checkpoint(path)
 
     def test_corruption_fails_checksum(self, tmp_path):
