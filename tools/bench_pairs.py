@@ -23,7 +23,11 @@ side's quartiles of the end-to-end metrics of ``BENCHMARK.json``, the
 change's wins and losses over the pairs, and each side's mean of every
 per-layer metric (``bench.tracing_overhead_pct`` included) over the
 traced seeds of a workload. One traced run can land in a fast or slow
-spell of a shared machine, so read the means.
+spell of a shared machine, so read the means. Every perfbench and Tier-1
+run also records ``usage``: the minor page faults and system CPU seconds
+of the run's process and its waited-for descendants (the perfbench
+workers included), taken as ``getrusage(RUSAGE_CHILDREN)`` deltas around
+the subprocess. They are recorded, not summarized.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -94,15 +99,26 @@ def src_lines(root: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "dpvfl").glob("*.py"))
 
 
+def counted_run(command: list[str], **kwargs) -> tuple[subprocess.CompletedProcess, dict]:
+    """``subprocess.run`` and the minor page faults and system CPU seconds that the
+    process and its waited-for descendants took (``RUSAGE_CHILDREN`` deltas)."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = subprocess.run(command, **kwargs)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return done, {"minor_faults": after.ru_minflt - before.ru_minflt,
+                  "sys_s": after.ru_stime - before.ru_stime}
+
+
 def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run; returns its result.json, which it writes in the checkout."""
+    """One perfbench run; returns its result.json, which it writes in the checkout,
+    with the run's ``usage`` added."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", f"{seconds:g}", "--trace", str(trace)]
-    done = subprocess.run(command, cwd=root, capture_output=True, text=True)
+    done, usage = counted_run(command, cwd=root, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"bench_pairs: {' '.join(command)} in {root} failed:\n{done.stderr}")
     out = root / ".bench_out" / f"{workload}-seed{seed}-trace{trace}" / "result.json"
-    return json.loads(out.read_text(encoding="utf-8"))
+    return {**json.loads(out.read_text(encoding="utf-8")), "usage": usage}
 
 
 def run_record(order: int, side: str, seed: int, result: dict) -> dict:
@@ -112,6 +128,7 @@ def run_record(order: int, side: str, seed: int, result: dict) -> dict:
         "correct": result["correct"], "attempted": result["attempted"],
         "failed": result["failed"], "problems": result["problems"], "jobs": len(jobs),
         "metrics": result["metrics"],
+        "usage": result["usage"],
         "sha256": jobs[0]["digests"],
         "provenance": result["provenance"],
     }
@@ -157,11 +174,11 @@ def layer_means(traced_runs: list[dict], names: list[str]) -> dict:
 
 
 def tier1(root: Path) -> dict:
-    """Wall time and outcome of the Tier-1 suite, with the slowest tests' durations
-    and each acceptance criterion's PASS/FAIL line, keyed by its number."""
+    """Wall time, usage and outcome of the Tier-1 suite, with the slowest tests'
+    durations and each acceptance criterion's PASS/FAIL line, keyed by its number."""
     started = time.perf_counter()
-    done = subprocess.run(TIER1, cwd=root, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": "src"})
+    done, usage = counted_run(TIER1, cwd=root, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": "src"})
     wall = time.perf_counter() - started
     tail = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
     counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|error)", tail)}
@@ -169,7 +186,7 @@ def tier1(root: Path) -> dict:
                  re.findall(r"^([\d.]+)s call\s+(\S+)$", done.stdout, re.MULTILINE)}
     slowest = dict(sorted(durations.items(), key=lambda kv: -kv[1])[:5])
     criteria = {match.group(1): match.group(0) for match in CRITERION_LINE.finditer(done.stdout)}
-    return {"wall_s": wall, "returncode": done.returncode, "summary": tail,
+    return {"wall_s": wall, "usage": usage, "returncode": done.returncode, "summary": tail,
             "counts": counts, "slowest_call_s": slowest,
             "criteria": dict(sorted(criteria.items(), key=lambda kv: int(kv[0])))}
 
@@ -212,7 +229,8 @@ def main(argv=None) -> int:
                     result = perfbench(roots[side], workload, seed, seconds, 0)
                     runs.append(run_record(len(runs), side, seed, result))
                     print(f"{workload} seed {seed} {side}: "
-                          f"wall_s={result['metrics']['wall_s']:.3f}", flush=True)
+                          f"wall_s={result['metrics']['wall_s']:.3f} "
+                          f"minor_faults={result['usage']['minor_faults']}", flush=True)
             identical = all(
                 a["sha256"] == b["sha256"]
                 for a in runs for b in runs if a["seed"] == b["seed"])
@@ -230,7 +248,7 @@ def main(argv=None) -> int:
                 for side in SIDES if index % 2 == 0 else SIDES[::-1]:
                     result = perfbench(roots[side], workload, seed, seconds, 1)
                     traced[side] = {key: result[key] for key in
-                                    ("correct", "failed", "problems", "metrics")}
+                                    ("correct", "failed", "problems", "metrics", "usage")}
                     traced[side]["sha256"] = result["jobs"][0]["digests"]
                     print(f"traced {workload} seed {seed} {side} done", flush=True)
                 record[f"traced_{workload}_seed{seed}"] = traced
