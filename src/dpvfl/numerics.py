@@ -20,7 +20,6 @@ __all__ = [
     "Rng",
     "normal_cdf",
     "pair_indices",
-    "pair_firsts",
     "pairwise_distances",
     "as_matrix",
 ]
@@ -101,9 +100,10 @@ def normal_cdf(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
 
 
-# Most pair-difference entries pairwise_distances holds at once (1 MiB): all
-# of a 128-row batch of 16 columns; a 240-row attack query takes four blocks.
-PAIR_BLOCK_ENTRIES = 1 << 17
+# Most pair-difference entries a pairwise_distances block holds (256 KiB):
+# all of a 64-row batch of 16 columns; a 240-row attack query takes 15
+# blocks.
+PAIR_BLOCK_ENTRIES = 1 << 15
 
 # One entry: rounds and evaluation batches reuse a single batch size, and
 # caching every size seen (ragged last batches, attack queries) only grows
@@ -120,14 +120,12 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return j_idx, k_idx
 
 
-def pair_firsts(b: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """``b[j_idx]`` for ``j_idx`` of :func:`pair_indices`: row j repeated n-1-j times.
-
-    One block copy per row instead of a gather, for first rows start <= j < stop.
-    """
-    n = b.shape[0]
-    stop = n if stop is None else stop
-    return np.repeat(b[start:stop], np.arange(n - 1 - start, n - 1 - stop, -1), axis=0)
+# One entry: every batch of one width shares the blocks, so the process
+# allocates them once and never faults their pages in again.
+@functools.lru_cache(maxsize=1)
+def _pair_workspace(rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two ``rows`` x ``width`` blocks, for the k rows and the j rows of a block's pairs."""
+    return np.empty((rows, width)), np.empty((rows, width))
 
 
 def pairwise_distances(batch) -> np.ndarray:
@@ -135,20 +133,25 @@ def pairwise_distances(batch) -> np.ndarray:
 
     The output order matches ``numpy.triu_indices(n, k=1)``. The differences
     are formed for the most first rows at a time whose pairs hold at most
-    ``PAIR_BLOCK_ENTRIES`` entries (or one row's pairs), with the same bits.
+    ``PAIR_BLOCK_ENTRIES`` entries (or one row's pairs), with the same bits,
+    in one workspace that every call of the same width reuses.
     """
     b = as_matrix(batch, "batch")
     n = b.shape[0]
     if n < 2:
         raise ArgumentError(f"pairwise distances need at least 2 rows, got {n}")
-    _, k_idx = pair_indices(n)
+    j_idx, k_idx = pair_indices(n)
     before = np.arange(n) * np.arange(2 * n - 1, n - 1, -1) // 2  # pairs of first rows < j
     limit = max(PAIR_BLOCK_ENTRIES // max(b.shape[1], 1), n - 1)
+    diffs, firsts = _pair_workspace(limit, b.shape[1])
     d, j = np.empty(k_idx.size), 0
     while j < n - 1:
         stop = min(int(np.searchsorted(before, before[j] + limit, "right")) - 1, n - 1)
-        diff = np.take(b, k_idx[before[j]:before[stop]], axis=0)
-        diff -= pair_firsts(b, j, stop)
-        np.sqrt(np.einsum("ij,ij->i", diff, diff), out=d[before[j]:before[stop]])
+        lo, hi = before[j], before[stop]
+        # "clip" writes straight into out; the default "raise" buffers it.
+        # The indices are in range by construction.
+        diff = np.take(b, k_idx[lo:hi], axis=0, out=diffs[:hi - lo], mode="clip")
+        diff -= np.take(b, j_idx[lo:hi], axis=0, out=firsts[:hi - lo], mode="clip")
+        np.sqrt(np.einsum("ij,ij->i", diff, diff, out=d[lo:hi]), out=d[lo:hi])
         j = stop
     return d

@@ -13,7 +13,6 @@ from dpvfl.mechanism import clip_norm
 from dpvfl.numerics import (
     Rng,
     as_matrix,
-    pair_firsts,
     pair_indices,
     pairwise_distances,
 )
@@ -122,22 +121,15 @@ class TestPairwiseDistances:
         assert np.array_equal(pairwise_distances(batch),
                               np.sqrt(np.einsum("ij,ij->i", diff, diff)))
 
-    @pytest.mark.parametrize("n", [2, 3, 60])
-    def test_pair_firsts_is_the_j_gather(self, n):
-        batch = Rng(n).normal(0, 1, (n, 5))
-        j_idx = pair_indices(n)[0]
-        assert np.array_equal(pair_firsts(batch), batch[j_idx])
-        start, stop = n // 3, n - 1
-        assert np.array_equal(pair_firsts(batch, start, stop),
-                              batch[j_idx[(j_idx >= start) & (j_idx < stop)]])
-
-    @pytest.mark.parametrize("block", [1, 16, 100, 1000])
-    @pytest.mark.parametrize("n", [2, 7, 60])
+    @pytest.mark.parametrize("block", [1, 16, 100, 1000, 2**15, 2**17])
+    @pytest.mark.parametrize("n", [2, 7, 60, 240])
     def test_blocks_give_the_same_bits(self, monkeypatch, n, block):
-        batch = Rng(n).normal(0, 1, (n, 16))
-        whole = pairwise_distances(batch)
+        # Widths 16, 5, 16: each switch re-keys the cached workspace.
+        batches = [Rng(n).normal(0, 1, (n, width)) for width in (16, 5, 16)]
+        whole = [pairwise_distances(batch) for batch in batches]
         monkeypatch.setattr(numerics, "PAIR_BLOCK_ENTRIES", block)
-        assert np.array_equal(pairwise_distances(batch), whole)
+        for batch, expected in zip(batches, whole):
+            assert np.array_equal(pairwise_distances(batch), expected)
 
     def test_large_batch_allocates_one_block_at_a_time(self):
         batch = Rng(5).normal(0, 1, (240, 16))
@@ -150,6 +142,18 @@ class TestPairwiseDistances:
             tracemalloc.stop()
         # The output, one block's differences and first rows, a little slack.
         assert peak <= d.nbytes + 2 * 8 * numerics.PAIR_BLOCK_ENTRIES + 2**16
+
+    def test_repeated_calls_reuse_the_workspace(self):
+        batch = Rng(6).normal(0, 1, (240, 16))
+        pairwise_distances(batch)  # builds the index arrays and the workspace
+        tracemalloc.start()
+        try:
+            d = pairwise_distances(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The output and a little slack: no difference block is allocated.
+        assert peak <= d.nbytes + 2**16
 
     @settings(max_examples=50)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
