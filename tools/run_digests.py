@@ -25,6 +25,12 @@ of a training is hashed without its ``runtime_seconds``, and the generated
 inputs are not hashed. Two checkouts that
 behave the same write identical JSON, so comparing the files of a parent
 and a change with ``cmp`` checks a byte-identity claim.
+
+The artefacts' bits also depend on the numpy build and on the CPU features
+it dispatches to, so the JSON carries a ``provenance`` entry: the Python
+and numpy versions and numpy's SIMD extensions (baseline, found and, under
+``NPY_DISABLE_CPU_FEATURES``, not found). Files written on different
+machines or builds then differ in that entry, not only in the digests.
 """
 
 from __future__ import annotations
@@ -34,12 +40,15 @@ import gzip
 import hashlib
 import json
 import os
+import platform
 import random
 import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
@@ -130,6 +139,12 @@ def digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def provenance() -> dict:
+    """The interpreter and numpy build the commands run on (the same ``sys.executable``)."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "simd": np.show_config(mode="dicts")["SIMD Extensions"]}
+
+
 def run_matrix() -> dict:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **dict.fromkeys(THREAD_VARS, "1")}
     with tempfile.TemporaryDirectory(prefix="run_digests-") as tmp:
@@ -148,7 +163,7 @@ def run_matrix() -> dict:
             for path in sorted(work.rglob("*"))
             if path.is_file() and path.relative_to(work).as_posix() not in INPUTS
         }
-    return {"seed": SEED, "artefacts": artefacts}
+    return {"seed": SEED, "provenance": provenance(), "artefacts": artefacts}
 
 
 def main(argv=None) -> int:
