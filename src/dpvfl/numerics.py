@@ -121,7 +121,8 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # One entry: every batch of one width shares the blocks, so the process
-# allocates them once and never faults their pages in again.
+# allocates them once and never faults their pages in again. Calls must
+# not run concurrently in one process, since they write the same blocks.
 @functools.lru_cache(maxsize=1)
 def _pair_workspace(rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Two ``rows`` x ``width`` blocks, for the k rows and the j rows of a block's pairs."""
